@@ -322,7 +322,9 @@ QueryResult QuaestorClient::ExecuteQuery(const db::Query& query) {
   const std::string key = query.NormalizedKey();
   obs::ScopedSpan span(tracer_, "client.query");
   span.Annotate("key", key);
-  // The HTTP URL carries the query; the server can always decode it.
+  // Lets the origin resolve the key on a cache miss. In-process this
+  // registers the shape with the server; over HTTP it is local
+  // bookkeeping, and the spec travels with the key's origin fetches.
   backend_->RegisterQueryShape(query);
   stats_.queries++;
   QueryResult result;

@@ -418,6 +418,11 @@ void QuaestorServer::RegisterQueryShape(const db::Query& query) {
   query_meta_[key] = std::move(meta);
 }
 
+bool QuaestorServer::HasQueryShape(const std::string& key) const {
+  std::lock_guard<std::mutex> lock(meta_mu_);
+  return query_meta_.count(key) != 0;
+}
+
 webcache::HttpResponse QuaestorServer::Fetch(
     const webcache::HttpRequest& request) {
   obs::ScopedSpan span(tracer_, "server.fetch");

@@ -213,10 +213,13 @@ class QuaestorServer : public webcache::Origin {
 
   // -- Read path --
 
-  /// Announces a query shape so Fetch can resolve its normalized key (in
-  /// HTTP the URL itself carries the query; this models URL decoding).
-  /// Idempotent.
+  /// Announces a query shape so Fetch can resolve its normalized key.
+  /// Idempotent. Over HTTP the shape comes with the query's first origin
+  /// fetch (see net::HttpFrontend).
   void RegisterQueryShape(const db::Query& query);
+
+  /// True once a shape with this normalized key has been announced.
+  bool HasQueryShape(const std::string& key) const;
 
   /// Origin entry point: serves record keys ("table/id") and query keys
   /// ("q:table?...") with freshly estimated TTLs, honouring If-None-Match.

@@ -130,9 +130,11 @@ void InvalidbCluster::SubmitToNode(Node& node, Task task) {
     }
   } else {
     // Synchronous mode executes in the caller; per-thread scratch keeps
-    // concurrent callers isolated. A sink that re-enters a synchronous
-    // cluster on the same thread (e.g. chained clusters) must not clobber
-    // the outer call's buffers, so reentrant calls get a local scratch.
+    // concurrent callers' buffers apart, and the node lock their matcher
+    // updates. A sink that re-enters a synchronous cluster on the same
+    // thread (e.g. chained clusters) must not clobber the outer call's
+    // buffers, so reentrant calls get a local scratch.
+    std::lock_guard<std::mutex> node_lock(node.sync_mu);
     static thread_local NotifyScratch scratch;
     static thread_local bool scratch_busy = false;
     if (scratch_busy) {

@@ -283,6 +283,9 @@ class InvalidbCluster {
   struct Node {
     explicit Node(bool indexed) : matcher(indexed) {}
     MatchingNode matcher;
+    /// Synchronous mode: callers run tasks on their own threads, and the
+    /// matcher is not thread-safe, so they take turns per node.
+    std::mutex sync_mu;
     std::unique_ptr<BoundedQueue<Task>> queue;  // threaded mode only
     std::thread worker;
     /// Toggled by Kill/RestartTask execution on the worker itself.

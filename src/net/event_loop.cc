@@ -63,7 +63,7 @@ bool EventLoop::InLoopThread() const {
 }
 
 void EventLoop::RunInLoop(std::function<void()> fn) {
-  if (InLoopThread() || !running_.load()) {
+  if (!running_.load()) {
     // After Stop() no loop thread exists to drain the queue; the caller
     // is tearing down single-threaded, so run inline.
     fn();
@@ -77,7 +77,12 @@ void EventLoop::RunInLoop(std::function<void()> fn) {
 }
 
 void EventLoop::RunInLoopSync(std::function<void()> fn) {
-  if (InLoopThread() || !running_.load()) {
+  if (InLoopThread()) {
+    DrainPending();  // keep FIFO: earlier posts run before `fn`
+    fn();
+    return;
+  }
+  if (!running_.load()) {
     fn();
     return;
   }
@@ -139,12 +144,18 @@ void EventLoop::RemoveFd(int fd) {
 }
 
 void EventLoop::DrainPending() {
-  std::vector<std::function<void()>> batch;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    batch.swap(pending_);
+  // Pop one at a time: a posted function may itself drain (via
+  // RunInLoopSync) and must continue from the head, not reorder.
+  for (;;) {
+    std::function<void()> fn;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (pending_.empty()) return;
+      fn = std::move(pending_.front());
+      pending_.pop_front();
+    }
+    fn();
   }
-  for (auto& fn : batch) fn();
 }
 
 void EventLoop::FireDueTimers() {

@@ -3,13 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 namespace quaestor::net {
 
@@ -37,12 +37,15 @@ class EventLoop {
   /// their owners (connections) must be torn down first or leak.
   void Stop();
 
-  /// Posts `fn` to run on the loop thread. Safe from any thread; if
-  /// called on the loop thread itself, runs `fn` immediately.
+  /// Queues `fn` to run on the loop thread, after everything queued
+  /// before it. Safe from any thread; on the loop thread itself `fn`
+  /// still waits its turn, so work posted by a handler runs once the
+  /// handler has returned (e.g. after its HTTP response is written).
   void RunInLoop(std::function<void()> fn);
 
-  /// Runs `fn` on the loop thread and blocks until it returns. Used for
-  /// setup calls (Listen, Close) issued from the owning thread. Must NOT
+  /// Runs `fn` on the loop thread, after everything already queued, and
+  /// blocks until it returns. Used for setup calls (Listen, Close). On
+  /// the loop thread it drains the queue and runs `fn` inline. Must NOT
   /// be called from the loop thread's own callbacks via another thread's
   /// sync call (classic deadlock) — callbacks should use RunInLoop.
   void RunInLoopSync(std::function<void()> fn);
@@ -75,7 +78,7 @@ class EventLoop {
   std::thread thread_;
 
   std::mutex mu_;
-  std::vector<std::function<void()>> pending_;
+  std::deque<std::function<void()>> pending_;  // FIFO
   // Timers ordered by absolute monotonic deadline.
   std::multimap<int64_t, std::pair<TimerId, std::function<void()>>> timers_;
   uint64_t next_timer_id_ = 1;

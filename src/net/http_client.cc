@@ -1,6 +1,7 @@
 #include "net/http_client.h"
 
 #include <errno.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -55,8 +56,8 @@ Result<HttpMessage> SyncHttpChannel::RoundTrip(const HttpMessage& request) {
     size_t written = 0;
     bool write_ok = true;
     while (written < wire.size()) {
-      const ssize_t n =
-          ::write(fd_, wire.data() + written, wire.size() - written);
+      const ssize_t n = ::send(fd_, wire.data() + written,
+                               wire.size() - written, MSG_NOSIGNAL);
       if (n > 0) {
         written += static_cast<size_t>(n);
         continue;
@@ -106,7 +107,12 @@ Result<HttpMessage> SyncHttpChannel::RoundTrip(const HttpMessage& request) {
 
 webcache::HttpResponse HttpBackend::Fetch(
     const webcache::HttpRequest& request) {
-  Result<HttpMessage> response = channel_.RoundTrip(ToHttpMessage(request));
+  HttpMessage message = ToHttpMessage(request);
+  // The spec rides in the body, not the URL: the key already fills the
+  // request line, which the server caps at 8 KB.
+  auto spec = query_specs_.find(request.key);
+  if (spec != query_specs_.end()) message.body = spec->second;
+  Result<HttpMessage> response = channel_.RoundTrip(message);
   if (!response.ok()) {
     webcache::HttpResponse unavailable;
     unavailable.unavailable = true;
@@ -137,11 +143,9 @@ ebf::BloomFilter HttpBackend::BloomSnapshotForTable(const std::string& table) {
 }
 
 void HttpBackend::RegisterQueryShape(const db::Query& query) {
-  HttpMessage request;
-  request.method = "POST";
-  request.target = "/query-shape";
-  request.body = query.ToSpec().ToJson();
-  (void)channel_.RoundTrip(request);
+  std::string key = query.NormalizedKey();
+  if (query_specs_.count(key) != 0) return;
+  query_specs_.emplace(std::move(key), query.ToSpec().ToJson());
 }
 
 Result<db::Document> HttpBackend::Write(const std::string& op,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 
 #include "client/backend.h"
 #include "common/result.h"
@@ -40,6 +41,13 @@ class SyncHttpChannel {
 /// travel the wire with full header semantics (ETag / If-None-Match /
 /// Cache-Control / X-Deadline-Us) and 503/429/504 map back onto the
 /// domain response flags.
+///
+/// Query shapes cost no round trip: RegisterQueryShape only remembers the
+/// query's spec, and every origin fetch of that query key carries the
+/// spec in its body, so a server that has not seen the key (or has
+/// restarted) learns it from the miss itself. A query answered by a
+/// cache never reaches the wire. Like the channel, one session's thread
+/// only.
 class HttpBackend final : public client::Backend, public webcache::Origin {
  public:
   explicit HttpBackend(uint16_t port) : channel_(port) {}
@@ -51,6 +59,7 @@ class HttpBackend final : public client::Backend, public webcache::Origin {
   webcache::Origin* origin() override { return this; }
   ebf::BloomFilter BloomSnapshot() override;
   ebf::BloomFilter BloomSnapshotForTable(const std::string& table) override;
+  /// Records NormalizedKey() -> spec JSON; sends nothing.
   void RegisterQueryShape(const db::Query& query) override;
   Result<db::Document> Insert(const std::string& auth_token,
                               const std::string& table, const std::string& id,
@@ -72,6 +81,7 @@ class HttpBackend final : public client::Backend, public webcache::Origin {
                              std::string body, const RequestContext& ctx);
 
   SyncHttpChannel channel_;
+  std::unordered_map<std::string, std::string> query_specs_;  // key -> JSON
 };
 
 }  // namespace quaestor::net

@@ -268,6 +268,9 @@ WireResponse FromHttpMessage(const HttpMessage& msg) {
       r.body = msg.body;
       break;
     case 304:
+      // The origin confirmed the presented version: a success without a
+      // body, exactly as the in-process server answers it.
+      r.ok = true;
       r.not_modified = true;
       break;
     case 429:

@@ -143,9 +143,6 @@ HttpMessage HttpFrontend::Dispatch(const HttpMessage& request) {
   if (request.method == "GET" && request.path == "/ebf") {
     return HandleEbf(request);
   }
-  if (request.method == "POST" && request.path == "/query-shape") {
-    return HandleQueryShape(request);
-  }
   if (request.method == "POST" && request.path == "/write") {
     return HandleWrite(request);
   }
@@ -163,6 +160,21 @@ HttpMessage HttpFrontend::HandleFetch(const HttpMessage& request) {
     msg.body = "missing key";
     return msg;
   }
+  // Learn a query's shape from the first fetch that brings its spec. The
+  // spec must normalize to the requested key: a mismatch would bind the
+  // key, and every shared-cache copy of it, to another query's result.
+  if (!request.body.empty() && req.key.rfind("q:", 0) == 0 &&
+      !server_->HasQueryShape(req.key)) {
+    Result<db::Value> spec = db::Value::FromJson(request.body);
+    if (!spec.ok()) return StatusResponse(spec.status());
+    Result<db::Query> query = db::Query::FromSpec(spec.value());
+    if (!query.ok()) return StatusResponse(query.status());
+    if (query->NormalizedKey() != req.key) {
+      return StatusResponse(
+          Status::InvalidArgument("query spec does not match the key"));
+    }
+    server_->RegisterQueryShape(query.value());
+  }
   WireResponse wire;
   wire.http = server_->Fetch(req);
   return ToHttpMessage(wire);
@@ -178,17 +190,6 @@ HttpMessage HttpFrontend::HandleEbf(const HttpMessage& request) {
   msg.status = 200;
   msg.headers["content-type"] = "application/octet-stream";
   msg.body = bloom.Serialize();
-  return msg;
-}
-
-HttpMessage HttpFrontend::HandleQueryShape(const HttpMessage& request) {
-  Result<db::Value> spec = db::Value::FromJson(request.body);
-  if (!spec.ok()) return StatusResponse(spec.status());
-  Result<db::Query> query = db::Query::FromSpec(spec.value());
-  if (!query.ok()) return StatusResponse(query.status());
-  server_->RegisterQueryShape(query.value());
-  HttpMessage msg;
-  msg.status = 200;
   return msg;
 }
 

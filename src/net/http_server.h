@@ -18,9 +18,13 @@ namespace quaestor::net {
 ///   GET  /fetch?key=K        origin fetch; honours If-None-Match /
 ///                            Authorization / X-Deadline-Us / X-Priority,
 ///                            answers with the caching headers of
-///                            http_codec.h (ETag, Cache-Control, ...)
+///                            http_codec.h (ETag, Cache-Control, ...).
+///                            A query key ("q:...") carries its query spec
+///                            JSON in the body; the server parses it only
+///                            for a key it does not know yet, and learns
+///                            the shape only if the spec normalizes to K
+///                            (else 400, K stays unknown).
 ///   GET  /ebf[?table=T]      serialized Bloom filter snapshot
-///   POST /query-shape        body: query spec JSON; announces the shape
 ///   POST /write?op=insert|update|delete&table=T&id=I
 ///                            body: document JSON (insert) / update spec
 ///                            JSON (update); Authorization resolved by
@@ -45,7 +49,6 @@ class HttpFrontend {
   HttpMessage Dispatch(const HttpMessage& request);
   HttpMessage HandleFetch(const HttpMessage& request);
   HttpMessage HandleEbf(const HttpMessage& request);
-  HttpMessage HandleQueryShape(const HttpMessage& request);
   HttpMessage HandleWrite(const HttpMessage& request);
 
   EventLoop* loop_;

@@ -255,12 +255,13 @@ bool FrameClient::Send(const std::string& channel, const std::string& payload,
     }
   }
   std::string wire = EncodeFrame(Frame{priority, channel, payload});
+  // Frames posted before a Close() still go out: Close() swaps conn_
+  // only after the loop has drained everything queued ahead of it.
   loop_->RunInLoop([this, wire = std::move(wire)] {
     std::shared_ptr<TcpConnection> conn;
     {
       std::lock_guard<std::mutex> lock(mu_);
       conn = conn_;
-      if (closing_) return;
     }
     if (!conn || !conn->Send(wire)) {
       std::lock_guard<std::mutex> lock(mu_);

@@ -103,7 +103,9 @@ class FrameHub {
   void Subscribe(const std::string& prefix, Handler handler);
 
   /// Ships one frame to every connected peer subscribed to `channel`.
-  /// Safe from any thread.
+  /// Safe from any thread. Always queued on the loop: frames leave in
+  /// call order, and a send made by a loop handler (say, the HTTP write
+  /// that committed a change) leaves after that handler's response.
   void Send(const std::string& channel, const std::string& payload,
             uint8_t priority);
 
@@ -155,6 +157,7 @@ class FrameClient {
   void Close();
 
   /// Ships one frame if connected; sheds (returns false) otherwise.
+  /// Queued on the loop like FrameHub::Send.
   bool Send(const std::string& channel, const std::string& payload,
             uint8_t priority);
 

@@ -81,22 +81,22 @@ void TcpConnection::HandleEvents(uint32_t events) {
 
 void TcpConnection::HandleReadable() {
   char buf[64 * 1024];
+  bool peer_gone = false;
   for (;;) {
     const ssize_t n = ::read(fd_, buf, sizeof(buf));
     if (n > 0) {
       input_.append(buf, static_cast<size_t>(n));
       continue;
     }
-    if (n == 0) {  // peer closed
-      Close();
-      return;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    Close();  // ECONNRESET etc.
-    return;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && errno == EINTR) continue;
+    peer_gone = true;  // orderly close (0) or ECONNRESET etc.
+    break;
   }
+  // A peer's last bytes often arrive in the same read as its FIN: hand
+  // them to the handler before closing, or they are silently lost.
   if (on_data_) on_data_();
+  if (peer_gone) Close();
 }
 
 bool TcpConnection::Send(std::string_view data) {
@@ -108,8 +108,8 @@ bool TcpConnection::Send(std::string_view data) {
     // Nothing queued: try the socket directly.
     size_t written = 0;
     while (written < data.size()) {
-      const ssize_t n =
-          ::write(fd_, data.data() + written, data.size() - written);
+      const ssize_t n = ::send(fd_, data.data() + written,
+                               data.size() - written, MSG_NOSIGNAL);
       if (n > 0) {
         written += static_cast<size_t>(n);
         continue;
@@ -131,8 +131,8 @@ bool TcpConnection::Send(std::string_view data) {
 
 void TcpConnection::HandleWritable() {
   while (output_offset_ < output_.size()) {
-    const ssize_t n = ::write(fd_, output_.data() + output_offset_,
-                              output_.size() - output_offset_);
+    const ssize_t n = ::send(fd_, output_.data() + output_offset_,
+                             output_.size() - output_offset_, MSG_NOSIGNAL);
     if (n > 0) {
       output_offset_ += static_cast<size_t>(n);
       continue;

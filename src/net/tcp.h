@@ -14,6 +14,8 @@ namespace quaestor::net {
 
 /// Non-blocking TCP connection owned by an EventLoop. All methods are
 /// loop-thread only (call via EventLoop::RunInLoop from elsewhere).
+/// Writes use MSG_NOSIGNAL, so a peer that reset the connection surfaces
+/// as a close (EPIPE), never as a process-killing SIGPIPE.
 /// Writes buffer in user space when the socket is full; the buffer is
 /// bounded — Send() refuses outright once `hard_limit` is reached so a
 /// slow reader cannot grow the buffer without bound. Caller decides what

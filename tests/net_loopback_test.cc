@@ -28,6 +28,7 @@
 #include "db/update.h"
 #include "net/event_loop.h"
 #include "net/http_client.h"
+#include "net/http_codec.h"
 #include "net/queue_bridge.h"
 #include "net/service.h"
 #include "webcache/web_cache.h"
@@ -113,19 +114,27 @@ class LoopbackStack : public ::testing::Test {
     delta_ = delta;
   }
 
-  /// One browser session over its own HTTP connection.
+  /// One browser session over its own HTTP connection. A null
+  /// `browser_out` gives a session without a browser cache; `cdn` false
+  /// one that bypasses the shared CDN too.
   std::unique_ptr<client::QuaestorClient> Session(
       std::unique_ptr<webcache::ExpirationCache>* browser_out,
-      std::unique_ptr<HttpBackend>* backend_out) {
+      std::unique_ptr<HttpBackend>* backend_out, bool cdn = true,
+      client::ClientOptions copts = client::ClientOptions()) {
     *backend_out = std::make_unique<HttpBackend>(net_->http_port());
-    *browser_out = std::make_unique<webcache::ExpirationCache>(&clock_);
-    client::ClientOptions copts;
+    if (browser_out != nullptr) {
+      *browser_out = std::make_unique<webcache::ExpirationCache>(&clock_);
+    }
     copts.ebf_refresh_interval = delta_;
     auto c = std::make_unique<client::QuaestorClient>(
-        &clock_, backend_out->get(), browser_out->get(), cdn_.get(), copts);
+        &clock_, backend_out->get(),
+        browser_out != nullptr ? browser_out->get() : nullptr,
+        cdn ? cdn_.get() : nullptr, copts);
     c->Connect();
     return c;
   }
+
+  uint64_t Requests() const { return net_->http()->requests_served(); }
 
   void TearDown() override {
     if (purge_client_) purge_client_->Close();
@@ -282,6 +291,7 @@ TEST_F(LoopbackStack, ConditionalFetchRevalidatesWith304OverTheWire) {
   req.has_if_none_match = true;
   req.if_none_match = full.etag;
   webcache::HttpResponse revalidated = direct.Fetch(req);
+  EXPECT_TRUE(revalidated.ok);
   EXPECT_TRUE(revalidated.not_modified);
   EXPECT_TRUE(revalidated.body.empty());
 
@@ -291,6 +301,121 @@ TEST_F(LoopbackStack, ConditionalFetchRevalidatesWith304OverTheWire) {
   webcache::HttpResponse miss = direct.Fetch(missing);
   EXPECT_FALSE(miss.ok);
   EXPECT_FALSE(miss.unavailable);
+}
+
+TEST_F(LoopbackStack, StrongSessionRereadIsAnsweredBy304AndSucceeds) {
+  Start();
+  ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"x":1})")).ok());
+  // Strong consistency revalidates every read; the browser copy from the
+  // first read makes the second one conditional, answered by a 304.
+  client::ClientOptions copts;
+  copts.consistency = client::ConsistencyLevel::kStrong;
+  std::unique_ptr<webcache::ExpirationCache> browser;
+  std::unique_ptr<HttpBackend> backend;
+  auto c = Session(&browser, &backend, /*cdn=*/true, copts);
+
+  client::ReadResult first = c->Read("t", "1");
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  const uint64_t not_modified_before = server_->stats().not_modified;
+  client::ReadResult second = c->Read("t", "1");
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_EQ(server_->stats().not_modified, not_modified_before + 1);
+  EXPECT_EQ(second.version, first.version);
+  EXPECT_EQ(second.doc.Find("x")->as_int(), 1);
+}
+
+TEST_F(LoopbackStack, QueryCostsOneRequestOnACdnMissAndNoneOnAHit) {
+  Start(/*delta=*/60 * kMicrosPerSecond);  // no EBF refresh mid-test
+  ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
+  ASSERT_TRUE(server_->Insert("t", "2", Doc(R"({"g":2})")).ok());
+  std::unique_ptr<HttpBackend> backend;
+  auto c = Session(nullptr, &backend);  // no browser cache: CDN answers
+  const db::Query q = Q("t", R"({"g":1})");
+
+  uint64_t before = Requests();
+  client::QueryResult miss = c->ExecuteQuery(q);
+  ASSERT_TRUE(miss.status.ok()) << miss.status.ToString();
+  EXPECT_EQ(miss.ids, std::vector<std::string>{"t/1"});
+  EXPECT_EQ(miss.outcome.served_by, webcache::ServedBy::kOrigin);
+  EXPECT_EQ(Requests() - before, 1u);  // the fetch carries the shape
+
+  before = Requests();
+  client::QueryResult hit = c->ExecuteQuery(q);
+  ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
+  EXPECT_EQ(hit.ids, std::vector<std::string>{"t/1"});
+  EXPECT_EQ(hit.outcome.served_by, webcache::ServedBy::kInvalidationCache);
+  EXPECT_EQ(Requests() - before, 0u);
+}
+
+TEST_F(LoopbackStack, ForgedQuerySpecCannotBindAnotherQuerysKey) {
+  Start();
+  ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
+  ASSERT_TRUE(server_->Insert("t", "2", Doc(R"({"g":2})")).ok());
+  const db::Query honest = Q("t", R"({"g":1})");
+  const std::string key = honest.NormalizedKey();
+
+  // GET /fetch for the honest key, carrying another query's spec: had
+  // the server learned it, every cache would serve t/2 under this key.
+  SyncHttpChannel raw(net_->http_port());
+  webcache::HttpRequest fetch;
+  fetch.key = key;
+  HttpMessage forged = ToHttpMessage(fetch);
+  forged.body = Q("t", R"({"g":2})").ToSpec().ToJson();
+  Result<HttpMessage> refused = raw.RoundTrip(forged);
+  ASSERT_TRUE(refused.ok());
+  EXPECT_EQ(refused->status, 400);
+  HttpMessage garbled = ToHttpMessage(fetch);
+  garbled.body = "{not json";
+  Result<HttpMessage> garbage = raw.RoundTrip(garbled);
+  ASSERT_TRUE(garbage.ok());
+  EXPECT_EQ(garbage->status, 400);
+  EXPECT_FALSE(server_->HasQueryShape(key));
+
+  std::unique_ptr<HttpBackend> backend;
+  auto c = Session(nullptr, &backend);
+  client::QueryResult r = c->ExecuteQuery(honest);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.ids, std::vector<std::string>{"t/1"});
+  EXPECT_TRUE(server_->HasQueryShape(key));
+}
+
+TEST_F(LoopbackStack, QueryWithASpecOver4KbWorksOverTheSocket) {
+  Start();
+  ASSERT_TRUE(server_->Insert("t", "in", Doc(R"({"x":1234})")).ok());
+  ASSERT_TRUE(server_->Insert("t", "out", Doc(R"({"x":-1})")).ok());
+  std::string filter = R"({"x":{"$in":[)";
+  for (int i = 1000; i < 1900; ++i) {
+    if (i > 1000) filter += ',';
+    filter += std::to_string(i);
+  }
+  filter += "]}}";
+  const db::Query q = Q("t", filter.c_str());
+  ASSERT_GT(q.ToSpec().ToJson().size(), 4096u);
+
+  std::unique_ptr<HttpBackend> backend;
+  auto c = Session(nullptr, &backend);
+  client::QueryResult r = c->ExecuteQuery(q);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.ids, std::vector<std::string>{"t/in"});
+}
+
+TEST_F(LoopbackStack, FreshSessionQueriesAShapeAnotherSessionAnnounced) {
+  Start();
+  ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
+  ASSERT_TRUE(server_->Insert("t", "2", Doc(R"({"g":1})")).ok());
+  const db::Query q = Q("t", R"({"g":1})");
+  std::unique_ptr<HttpBackend> be1, be2;
+  auto c1 = Session(nullptr, &be1);
+  ASSERT_TRUE(c1->ExecuteQuery(q).status.ok());
+  ASSERT_TRUE(server_->HasQueryShape(q.NormalizedKey()));
+
+  // A second session on its own connection, bypassing the CDN, so its
+  // fetch reaches the origin that already knows the shape.
+  auto c2 = Session(nullptr, &be2, /*cdn=*/false);
+  client::QueryResult r = c2->ExecuteQuery(q);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.outcome.served_by, webcache::ServedBy::kOrigin);
+  EXPECT_EQ(r.ids, (std::vector<std::string>{"t/1", "t/2"}));
 }
 
 TEST_F(LoopbackStack, WriteErrorsCarryExactStatusCodesAcrossHttp) {

@@ -143,6 +143,7 @@ TEST(HttpCodecTest, WireResponseRoundTripsEveryStatusShape) {
   }
   {
     WireResponse nm;
+    nm.http.ok = true;  // the origin's 304 is a success without a body
     nm.http.not_modified = true;
     nm.http.etag = 99;
     nm.http.ttl = kMicrosPerSecond;
@@ -327,10 +328,33 @@ TEST(EventLoopTest, PostedFunctionsTimersAndCancellation) {
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   EXPECT_FALSE(cancelled_fired.load());
 
-  // Posting from inside the loop runs inline (no self-deadlock).
+  // Posting from inside the loop queues behind the running function
+  // (no self-deadlock, no inline overtaking).
   std::atomic<bool> nested{false};
-  loop.RunInLoopSync([&] { loop.RunInLoop([&] { nested = true; }); });
+  bool ran_inline = true;
+  loop.RunInLoopSync([&] {
+    loop.RunInLoop([&] { nested = true; });
+    ran_inline = nested.load();
+  });
+  EXPECT_FALSE(ran_inline);
   EXPECT_TRUE(WaitFor([&] { return nested.load(); }));
+  loop.Stop();
+}
+
+TEST(EventLoopTest, PostsFromAnyThreadRunInOrderAndSyncCallsWaitTheirTurn) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.Start());
+  std::vector<int> order;  // loop-thread only
+  loop.RunInLoopSync([&] {
+    loop.RunInLoop([&] { order.push_back(1); });
+    loop.RunInLoop([&] { order.push_back(2); });
+    // A sync call on the loop thread first runs what is already queued.
+    loop.RunInLoopSync([&] { order.push_back(3); });
+    order.push_back(4);
+  });
+  loop.RunInLoop([&] { order.push_back(5); });
+  loop.RunInLoopSync([&] { order.push_back(6); });
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
   loop.Stop();
 }
 
@@ -622,6 +646,62 @@ TEST_F(FrameFixture, SlowReaderShedsLowPriorityButKeepsCritical) {
   }));
   close(fd);
   hub.Close();
+}
+
+TEST_F(FrameFixture, FramesLeaveInSendOrderFromAnyThreadUpToALoopThreadClose) {
+  FrameHub hub(&loop_, 256u << 10, 1u << 20);
+  ASSERT_TRUE(hub.Listen(0));
+  EventLoop client_loop;
+  ASSERT_TRUE(client_loop.Start());
+  FrameClient client(&client_loop, hub.port(), 5 * kMicrosPerMilli);
+  std::mutex mu;
+  bool probed = false;
+  std::vector<std::string> got;
+  client.Subscribe("seq", [&](const Frame& f) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (f.channel == "seq:probe") {
+      probed = true;
+    } else {
+      got.push_back(f.payload);
+    }
+  });
+  client.Connect();
+  // Connected and subscribed once a probe frame comes through.
+  ASSERT_TRUE(WaitFor([&] {
+    hub.Send("seq:probe", "", 2);
+    std::lock_guard<std::mutex> lock(mu);
+    return probed;
+  }));
+
+  std::vector<std::string> want;
+  auto send = [&](int i) { hub.Send("seq", std::to_string(i), 2); };
+  for (int i = 0; i < 10; ++i) send(i);  // test thread
+  loop_.RunInLoopSync([&] {               // loop thread
+    for (int i = 10; i < 20; ++i) send(i);
+  });
+  std::thread other([&] {
+    for (int i = 20; i < 30; ++i) send(i);
+  });
+  other.join();
+  // Close on the loop thread right behind two loop-thread sends: the
+  // queued frames must leave first, not be overtaken and dropped.
+  loop_.RunInLoopSync([&] {
+    send(30);
+    send(31);
+    hub.Close();
+  });
+  for (int i = 0; i < 32; ++i) want.push_back(std::to_string(i));
+  EXPECT_TRUE(WaitFor([&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return got.size() >= want.size();
+  }));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(got, want);
+  }
+  EXPECT_EQ(hub.frames_shed(), 0u);
+  client.Close();
+  client_loop.Stop();
 }
 
 TEST_F(FrameFixture, SendWhileDisconnectedShedsInsteadOfBuffering) {
