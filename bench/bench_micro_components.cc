@@ -229,14 +229,18 @@ std::string EncodeChangeViaValueTree(const db::ChangeEvent& ev) {
   spec["after"] = db::Value(std::move(after));
   spec["commit_time"] = db::Value(static_cast<int64_t>(ev.commit_time));
   spec["kind"] = db::Value(static_cast<int64_t>(ev.kind));
-  spec["op"] = db::Value("change");
-  return db::Value(std::move(spec)).ToJson();
+  db::Array events;
+  events.push_back(db::Value(std::move(spec)));
+  db::Object envelope;
+  envelope["events"] = db::Value(std::move(events));
+  envelope["op"] = db::Value("change_batch");
+  return db::Value(std::move(envelope)).ToJson();
 }
 
 void BM_TransportEncodeChange(benchmark::State& state) {
   const db::ChangeEvent ev = SampleChange();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(invalidb::transport::EncodeChange(ev));
+    benchmark::DoNotOptimize(invalidb::transport::EncodeChangeBatch({ev}));
   }
   NoteItems(state, state.iterations());
 }
@@ -244,7 +248,8 @@ BENCHMARK(BM_TransportEncodeChange);
 
 void BM_TransportEncodeChangeTreeReference(benchmark::State& state) {
   const db::ChangeEvent ev = SampleChange();
-  if (EncodeChangeViaValueTree(ev) != invalidb::transport::EncodeChange(ev)) {
+  if (EncodeChangeViaValueTree(ev) !=
+      invalidb::transport::EncodeChangeBatch({ev})) {
     state.SkipWithError("tree reference diverged from single-pass encoder");
     return;
   }

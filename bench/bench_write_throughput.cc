@@ -1,7 +1,7 @@
 // End-to-end write-path throughput over the message-queue transport:
 // change events flow remote → reliable queue → worker → cluster matching →
 // notifications → reliable queue → remote sink. Sweeps the batch size
-// (1 = batching disabled, the per-event reference) against two update
+// (1 = a batch of one, every event shipped at once) against two update
 // workloads over a 10,000-query indexed cluster and writes
 // BENCH_write.json so CI can gate on the batched speedup.
 //
@@ -85,7 +85,6 @@ RunResult Run(size_t batch, size_t num_events, double match_rate) {
 
   TransportOptions topts;
   topts.reliable.enabled = true;
-  topts.batching.enabled = batch > 1;
   topts.batching.max_batch = batch;
   // Size- and barrier-triggered flushes only: the pump cadence, not the
   // wall clock, decides when partial batches ship.
@@ -242,6 +241,7 @@ int main(int argc, char** argv) {
   db::Object root;
   root["benchmark"] = db::Value("write_throughput");
   root["hardware_threads"] = db::Value(static_cast<int64_t>(hw));
+  root["build_type"] = db::Value(QUAESTOR_BUILD_TYPE);
   root["events_per_config"] = db::Value(static_cast<int64_t>(num_events));
   db::Array batch_axis;
   for (size_t b : bench::kBatchSizes) {

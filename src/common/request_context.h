@@ -19,8 +19,7 @@ enum class Priority {
   kHigh = 1,
   /// Plain reads and queries.
   kNormal = 2,
-  /// Writes — retried by clients and absorbed by write batching, so they
-  /// are shed first.
+  /// Writes — retried by clients, so they are shed first.
   kLow = 3,
 };
 

@@ -44,18 +44,16 @@ QuaestorServer::QuaestorServer(Clock* clock, db::Database* database,
       capacity_(options.query_capacity),
       admission_(options.admission),
       fault_rng_(options.fault_seed) {
+  // Coalesced fan-out: each dispatch hands all of its notifications over
+  // in one call, so the memo-erase/EBF/purge pass runs once per distinct
+  // stale query.
   invalidb_ = std::make_unique<invalidb::InvalidbCluster>(
       clock, options.invalidb_options,
-      [this](const invalidb::Notification& n) { OnNotification(n); });
-  if (options_.write_batching.enabled) {
-    // Coalesced fan-out: each batched dispatch hands all of its
-    // notifications over in one call, so the memo-erase/EBF/purge pass
-    // runs once per distinct stale query.
-    invalidb_->SetBatchSink(
-        [this](const std::vector<invalidb::Notification>& batch) {
-          OnNotificationBatch(batch);
-        });
-  }
+      [this](const invalidb::Notification& n) { OnNotificationBatch({n}); });
+  invalidb_->SetBatchSink(
+      [this](const std::vector<invalidb::Notification>& batch) {
+        OnNotificationBatch(batch);
+      });
   db_->AddChangeListener([this](const db::ChangeEvent& ev) {
     // Fault gates: a hard pipeline outage swallows the whole change
     // stream; a lossy pipeline drops a seeded fraction of it. Either way
@@ -76,45 +74,9 @@ QuaestorServer::QuaestorServer(Clock* clock, db::Database* database,
         return;
       }
     }
-    if (options_.write_batching.enabled) {
-      BufferChange(ev);
-    } else {
-      PipelineOnChange(ev);
-    }
+    PipelineOnChange(ev);
   });
   transactions_ = std::make_unique<TransactionManager>(this);
-}
-
-QuaestorServer::~QuaestorServer() { FlushChanges(); }
-
-void QuaestorServer::BufferChange(const db::ChangeEvent& ev) {
-  std::vector<db::ChangeEvent> flush;
-  {
-    std::lock_guard<std::mutex> lock(write_batch_mu_);
-    if (write_batch_.empty()) write_batch_oldest_ = clock_->NowMicros();
-    write_batch_.push_back(ev);
-    const auto& wb = options_.write_batching;
-    if (write_batch_.size() < wb.max_batch &&
-        clock_->NowMicros() - write_batch_oldest_ < wb.flush_interval) {
-      return;
-    }
-    flush = std::move(write_batch_);
-    write_batch_.clear();
-  }
-  PipelineOnChangeBatch(std::move(flush));
-}
-
-size_t QuaestorServer::FlushChanges() {
-  if (!options_.write_batching.enabled) return 0;
-  std::vector<db::ChangeEvent> flush;
-  {
-    std::lock_guard<std::mutex> lock(write_batch_mu_);
-    flush = std::move(write_batch_);
-    write_batch_.clear();
-  }
-  const size_t flushed = flush.size();
-  if (!flush.empty()) PipelineOnChangeBatch(std::move(flush));
-  return flushed;
 }
 
 void QuaestorServer::SetExternalPipeline(ExternalPipeline pipeline) {
@@ -153,14 +115,6 @@ void QuaestorServer::PipelineOnChange(const db::ChangeEvent& ev) {
   invalidb_->OnChange(ev);
 }
 
-void QuaestorServer::PipelineOnChangeBatch(std::vector<db::ChangeEvent> batch) {
-  if (has_external_pipeline_) {
-    external_pipeline_.on_change_batch(std::move(batch));
-    return;
-  }
-  invalidb_->OnChangeBatch(std::move(batch));
-}
-
 // ---------------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------------
@@ -168,8 +122,8 @@ void QuaestorServer::PipelineOnChangeBatch(std::vector<db::ChangeEvent> batch) {
 Status QuaestorServer::AdmitWrite(const RequestContext& ctx) {
   if (!options_.admission.enabled) return Status::OK();
   RequestContext eff = ctx;
-  // Writes default to the lowest class: clients retry them and write
-  // batching absorbs the backlog, so they are the first load to shed.
+  // Writes default to the lowest class: clients retry them, so they are
+  // the first load to shed.
   if (eff.priority == Priority::kNormal) eff.priority = Priority::kLow;
   Status st = admission_.Admit(clock_->NowMicros(), eff);
   if (st.IsResourceExhausted()) {
@@ -249,76 +203,21 @@ void QuaestorServer::OnRecordWrite(const db::Document& after) {
     ebf_.ReportRead(key, options_.write_response_ttl);
   }
   // Query invalidations are detected by InvaliDB via the change stream
-  // (wired in the constructor) and handled in OnNotification.
+  // (wired in the constructor) and handled in OnNotificationBatch.
 }
 
 // ---------------------------------------------------------------------------
 // Invalidation pipeline
 // ---------------------------------------------------------------------------
 
-void QuaestorServer::OnNotification(const invalidb::Notification& n) {
-  obs::ScopedSpan span(tracer_, "server.on_notification");
-  // Pipeline health: commit-to-processing lag of this notification, with
-  // hysteresis so a single slow message does not flap the mode — degrade
-  // past the budget, recover only once the lag is back under half of it.
-  const Micros lag = std::max<Micros>(0, clock_->NowMicros() - n.event_time);
-  last_notification_lag_.store(lag, std::memory_order_relaxed);
-  if (options_.degradation.enabled) {
-    const Micros budget = options_.degradation.staleness_budget;
-    if (lag > budget) {
-      lag_degraded_.store(true, std::memory_order_relaxed);
-    } else if (lag <= budget / 2) {
-      lag_degraded_.store(false, std::memory_order_relaxed);
-    }
-    RefreshDegradedState();
-  }
-  {
-    std::lock_guard<std::mutex> lock(meta_mu_);
-    auto it = query_meta_.find(n.query_key);
-    if (it != query_meta_.end()) {
-      it->second.last_result_change =
-          std::max(it->second.last_result_change, n.event_time);
-      switch (n.type) {
-        case invalidb::NotificationType::kAdd:
-          it->second.adds++;
-          break;
-        case invalidb::NotificationType::kRemove:
-          it->second.removes++;
-          break;
-        default:
-          it->second.changes++;
-      }
-    }
-  }
-  query_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  // The cached result is stale: flag it in the EBF while issued TTLs are
-  // outstanding and purge CDNs (end-to-end example step 4, Figure 7);
-  // the memoized body died with the etag.
-  MemoErase(n.query_key);
-  ebf_.ReportWrite(n.query_key);
-  PurgeEverywhere(n.query_key);
-  // TTL feedback (Equation 2): the result's actual cache lifetime was the
-  // span between its last read and this invalidation.
-  const auto actual =
-      active_list_.OnInvalidation(n.query_key, n.event_time);
-  if (actual.has_value()) {
-    ttl_estimator_.OnQueryInvalidated(n.query_key, *actual);
-  }
-  capacity_.OnInvalidation(n.query_key);
-  std::vector<invalidb::NotificationSink> taps;
-  {
-    std::lock_guard<std::mutex> lock(purge_mu_);
-    taps = notification_taps_;
-  }
-  for (const auto& tap : taps) tap(n);
-}
-
 void QuaestorServer::OnNotificationBatch(
     const std::vector<invalidb::Notification>& batch) {
   if (batch.empty()) return;
   obs::ScopedSpan span(tracer_, "server.on_notification");
-  // Lag / hysteresis: record every notification's lag (the last one wins,
-  // matching per-event processing order), then refresh the mode once.
+  // Pipeline health: commit-to-processing lag of each notification (the
+  // last one wins), with hysteresis so a single slow message does not flap
+  // the mode — degrade past the budget, recover only once the lag is back
+  // under half of it. The mode is refreshed once per batch.
   const Micros now = clock_->NowMicros();
   for (const invalidb::Notification& n : batch) {
     const Micros lag = std::max<Micros>(0, now - n.event_time);
@@ -664,9 +563,6 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
   qr.representation =
       DecideRepresentation(key, docs.size(), &representation_switched);
   if (representation_switched && active_list_.IsRegistered(key)) {
-    // Barrier: buffered changes precede the deregistration in stream
-    // order; flushing after it would silently drop their notifications.
-    FlushChanges();
     PipelineDeregisterQuery(key);
     active_list_.SetRegistered(key, false);
     MemoErase(key);
@@ -792,10 +688,6 @@ webcache::HttpResponse QuaestorServer::FetchQuery(
       Status st;
       {
         obs::ScopedSpan reg_span(tracer_, "invalidb.register");
-        // Barrier: buffered changes committed before this registration's
-        // evaluation; flushed afterwards they would re-match against the
-        // fresh query as spurious post-activation stream events.
-        FlushChanges();
         st = PipelineRegisterQuery(query, registration_set, mask);
       }
       if (st.ok() || st.IsAlreadyExists()) {
@@ -815,7 +707,6 @@ void QuaestorServer::EvictQuery(const std::string& query_key) {
   // Stop maintaining the query. Outstanding cached copies can no longer be
   // invalidated, so conservatively mark the key stale for as long as any
   // issued TTL is unexpired and purge CDNs now.
-  FlushChanges();  // barrier: pre-eviction changes must match while registered
   PipelineDeregisterQuery(query_key);
   active_list_.SetRegistered(query_key, false);
   MemoErase(query_key);
@@ -883,9 +774,6 @@ void QuaestorServer::SetDegraded(bool degraded) {
 }
 
 void QuaestorServer::SetPipelineDown(bool down) {
-  // Barrier either way: events buffered before the outage boundary belong
-  // to the healthy stream and must be matched on the pre-outage state.
-  FlushChanges();
   if (pipeline_down_.exchange(down, std::memory_order_acq_rel) == down) {
     return;
   }
@@ -917,9 +805,6 @@ size_t QuaestorServer::ResizeInvalidb(size_t new_query_partitions,
   // for responses issued during it (flags outstanding long-TTL copies).
   resizing_.store(true, std::memory_order_relaxed);
   RefreshDegradedState();
-  // Barrier: buffered changes must drain onto the old grid before the
-  // cutover evaluates every query against the authoritative database.
-  FlushChanges();
   const size_t reinstalled = invalidb_->Resize(
       new_query_partitions, new_object_partitions,
       [this](const db::Query& q) { return db_->Execute(q); });

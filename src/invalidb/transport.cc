@@ -1,7 +1,7 @@
 #include "invalidb/transport.h"
 
+#include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <string_view>
 
 namespace quaestor::invalidb {
@@ -265,19 +265,6 @@ Result<db::ChangeEvent> DecodeChangeEvent(const Value& spec) {
   return ev;
 }
 
-std::string EncodeChange(const db::ChangeEvent& event) {
-  std::string out;
-  out.reserve(160);
-  out += "{\"after\":";
-  AppendDocumentSpec(&out, event.after);
-  out += ",\"commit_time\":";
-  out += std::to_string(static_cast<int64_t>(event.commit_time));
-  out += ",\"kind\":";
-  out += std::to_string(static_cast<int64_t>(event.kind));
-  out += ",\"op\":\"change\"}";
-  return out;
-}
-
 std::string EncodeChangeBatch(const std::vector<db::ChangeEvent>& events) {
   std::string out;
   out.reserve(32 + 160 * events.size());
@@ -360,13 +347,6 @@ std::string EncodeResize(size_t query_partitions, size_t object_partitions) {
   return out;
 }
 
-std::string EncodeNotification(const Notification& n) {
-  std::string out;
-  out.reserve(96 + n.query_key.size() + n.record_id.size());
-  AppendNotificationSpec(&out, n);
-  return out;
-}
-
 std::string EncodeNotificationBatch(const std::vector<Notification>& batch) {
   std::string out;
   out.reserve(40 + 96 * batch.size());
@@ -379,10 +359,10 @@ std::string EncodeNotificationBatch(const std::vector<Notification>& batch) {
   return out;
 }
 
-Result<Notification> DecodeNotification(const Value& msg) {
-  const Value* type = msg.Find("type");
-  const Value* key = msg.Find("query_key");
-  const Value* record = msg.Find("record_id");
+Result<Notification> DecodeNotification(const Value& spec) {
+  const Value* type = spec.Find("type");
+  const Value* key = spec.Find("query_key");
+  const Value* record = spec.Find("record_id");
   if (type == nullptr || !type->is_int() || key == nullptr ||
       !key->is_string() || record == nullptr || !record->is_string()) {
     return Status::Corruption("malformed notification");
@@ -391,19 +371,13 @@ Result<Notification> DecodeNotification(const Value& msg) {
   n.type = static_cast<NotificationType>(type->as_int());
   n.query_key = key->as_string();
   n.record_id = record->as_string();
-  if (const Value* v = msg.Find("event_time"); v != nullptr && v->is_int()) {
+  if (const Value* v = spec.Find("event_time"); v != nullptr && v->is_int()) {
     n.event_time = v->as_int();
   }
-  if (const Value* v = msg.Find("new_index"); v != nullptr && v->is_int()) {
+  if (const Value* v = spec.Find("new_index"); v != nullptr && v->is_int()) {
     n.new_index = v->as_int();
   }
   return n;
-}
-
-Result<Notification> DecodeNotification(const std::string& message) {
-  auto parsed = Value::FromJson(message);
-  if (!parsed.ok()) return parsed.status();
-  return DecodeNotification(parsed.value());
 }
 
 Result<std::vector<Notification>> DecodeNotificationBatch(const Value& msg) {
@@ -439,169 +413,137 @@ Result<std::vector<Notification>> DecodeNotificationBatch(
 }  // namespace transport
 
 // ---------------------------------------------------------------------------
+// StagedEnvelope
+// ---------------------------------------------------------------------------
+
+size_t StagedEnvelope::TakeLocked(std::string* payload) {
+  *payload = std::move(json_);
+  json_.clear();
+  const size_t taken = count_;
+  count_ = 0;
+  return taken;
+}
+
+void StagedEnvelope::Ship(std::string payload, size_t count, Reason reason) {
+  payload += close_;
+  sender_->Send(std::move(payload));
+  flushes_[static_cast<size_t>(reason)]++;
+  batches_sent_++;
+  batch_events_ += count;
+}
+
+size_t StagedEnvelope::Flush(Reason reason) {
+  std::string payload;
+  size_t taken = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (count_ == 0) return 0;
+    if (reason == Reason::kInterval &&
+        clock_->NowMicros() - oldest_ < options_.flush_interval) {
+      return 0;
+    }
+    taken = TakeLocked(&payload);
+  }
+  Ship(std::move(payload), taken, reason);
+  return taken;
+}
+
+Micros StagedEnvelope::WaitBudget(Micros idle) const {
+  if (options_.max_batch <= 1) return idle;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (count_ == 0) return std::min(idle, options_.flush_interval);
+  const Micros due = oldest_ + options_.flush_interval - clock_->NowMicros();
+  return std::clamp<Micros>(due, 0, idle);
+}
+
+size_t StagedEnvelope::staged() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return count_;
+}
+
+void StagedEnvelope::AddTo(TransportStats* stats) const {
+  stats->batches_sent += batches_sent_.load();
+  stats->batch_events += batch_events_.load();
+  stats->flushes_size += flushes_[static_cast<size_t>(Reason::kSize)].load();
+  stats->flushes_interval +=
+      flushes_[static_cast<size_t>(Reason::kInterval)].load();
+  stats->flushes_barrier +=
+      flushes_[static_cast<size_t>(Reason::kBarrier)].load();
+  stats->flushes_manual +=
+      flushes_[static_cast<size_t>(Reason::kManual)].load();
+}
+
+namespace {
+
+/// Longest a background poller blocks on its queue when no batch deadline
+/// is nearer: bounds how late it notices Stop and ticks retransmits.
+constexpr Micros kIdlePollMicros = 10 * kMicrosPerMilli;
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // InvalidbRemote
 // ---------------------------------------------------------------------------
 
 InvalidbRemote::InvalidbRemote(Clock* clock, kv::KvStore* kv,
                                std::string prefix, NotificationSink sink,
                                TransportOptions options)
-    : clock_(clock),
-      kv_(kv),
-      options_(options),
-      requests_queue_(prefix + ":requests"),
+    : requests_queue_(prefix + ":requests"),
       notifications_queue_(prefix + ":notifications"),
       sink_(std::move(sink)),
       req_sender_(clock, kv, requests_queue_, "quaestor", options.reliable),
-      notif_receiver_(kv, notifications_queue_, options.reliable) {}
+      notif_receiver_(kv, notifications_queue_, options.reliable),
+      changes_(clock, options.batching, "{\"events\":[",
+               "],\"op\":\"change_batch\"}", &req_sender_) {}
 
 InvalidbRemote::~InvalidbRemote() {
   StopPolling();
   FlushChanges();
 }
 
-void InvalidbRemote::SendEncodedBatch(std::string payload, size_t count) {
-  payload += "],\"op\":\"change_batch\"}";
-  req_sender_.Send(payload);
-  batches_sent_++;
-  batch_events_ += count;
-}
-
-void InvalidbRemote::FlushWithReason(std::atomic<uint64_t>* reason) {
-  if (!options_.batching.enabled) return;
-  std::string payload;
-  size_t count = 0;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (batch_count_ == 0) return;
-    payload = std::move(batch_json_);
-    count = batch_count_;
-    batch_json_.clear();
-    batch_count_ = 0;
-  }
-  (*reason)++;
-  SendEncodedBatch(std::move(payload), count);
-}
-
-void InvalidbRemote::FlushChanges() { FlushWithReason(&flushes_manual_); }
-
-void InvalidbRemote::MaybeFlushByAge() {
-  if (!options_.batching.enabled) return;
-  std::string payload;
-  size_t count = 0;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (batch_count_ == 0 ||
-        clock_->NowMicros() - batch_oldest_ < options_.batching.flush_interval) {
-      return;
-    }
-    payload = std::move(batch_json_);
-    count = batch_count_;
-    batch_json_.clear();
-    batch_count_ = 0;
-  }
-  flushes_interval_++;
-  SendEncodedBatch(std::move(payload), count);
-}
-
-size_t InvalidbRemote::buffered_changes() const {
-  std::lock_guard<std::mutex> lock(batch_mu_);
-  return batch_count_;
+void InvalidbRemote::FlushChanges() {
+  changes_.Flush(StagedEnvelope::Reason::kManual);
 }
 
 void InvalidbRemote::RegisterQuery(
     const db::Query& query, const std::vector<db::Document>& initial_result,
     EventMask events, Micros evaluated_at) {
-  // Barrier: a change buffered before this call must be matched before the
+  // Barrier: a change staged before this call must be matched before the
   // registration installs (otherwise the worker would replay it against
   // the fresh query as a spurious post-activation event).
-  FlushWithReason(&flushes_barrier_);
+  changes_.Flush(StagedEnvelope::Reason::kBarrier);
   req_sender_.Send(transport::EncodeRegister(query, initial_result, events,
                                              evaluated_at));
 }
 
 void InvalidbRemote::DeregisterQuery(const std::string& query_key) {
-  FlushWithReason(&flushes_barrier_);
+  changes_.Flush(StagedEnvelope::Reason::kBarrier);
   req_sender_.Send(transport::EncodeDeregister(query_key));
 }
 
 void InvalidbRemote::OnChange(const db::ChangeEvent& event) {
-  if (!options_.batching.enabled) {
-    req_sender_.Send(transport::EncodeChange(event));
-    return;
-  }
-  std::string payload;
-  size_t count = 0;
-  {
-    std::lock_guard<std::mutex> lock(batch_mu_);
-    if (batch_count_ == 0) {
-      batch_oldest_ = clock_->NowMicros();
-      batch_json_ = "{\"events\":[";
-    } else {
-      batch_json_ += ',';
-    }
-    transport::AppendChangeEventSpec(&batch_json_, event);
-    if (++batch_count_ >= options_.batching.max_batch) {
-      payload = std::move(batch_json_);
-      count = batch_count_;
-      batch_json_.clear();
-      batch_count_ = 0;
-    }
-  }
-  if (count > 0) {
-    flushes_size_++;
-    SendEncodedBatch(std::move(payload), count);
-  }
+  changes_.Stage(&event, 1, transport::AppendChangeEventSpec);
 }
 
 void InvalidbRemote::Resize(size_t query_partitions,
                             size_t object_partitions) {
-  FlushWithReason(&flushes_barrier_);
+  changes_.Flush(StagedEnvelope::Reason::kBarrier);
   req_sender_.Send(
       transport::EncodeResize(query_partitions, object_partitions));
 }
 
 size_t InvalidbRemote::HandleWire(const std::string& payload) {
-  // Batch fast path: canonical notify_batch envelopes are by far the
-  // hottest payload, and only they start with this prefix. The string
-  // overload scans the canonical form in a single pass and falls back to
-  // the generic (Value-parsing, op-checked) decoder on any deviation.
-  if (payload.compare(0, 18, "{\"notifications\":[") == 0) {
-    auto batch = transport::DecodeNotificationBatch(payload);
-    if (!batch.ok()) {
-      decode_errors_++;
-      return 0;
-    }
-    for (const Notification& n : batch.value()) sink_(n);
-    return batch.value().size();
-  }
-  auto parsed = db::Value::FromJson(payload);
-  if (!parsed.ok() || !parsed->is_object()) {
+  auto batch = transport::DecodeNotificationBatch(payload);
+  if (!batch.ok()) {
     decode_errors_++;
     return 0;
   }
-  const db::Value& msg = parsed.value();
-  const db::Value* op = msg.Find("op");
-  if (op != nullptr && op->is_string() &&
-      op->as_string() == "notify_batch") {
-    auto batch = transport::DecodeNotificationBatch(msg);
-    if (!batch.ok()) {
-      decode_errors_++;
-      return 0;
-    }
-    for (const Notification& n : batch.value()) sink_(n);
-    return batch.value().size();
-  }
-  auto n = transport::DecodeNotification(msg);
-  if (!n.ok()) {
-    decode_errors_++;
-    return 0;
-  }
-  sink_(n.value());
-  return 1;
+  for (const Notification& n : batch.value()) sink_(n);
+  return batch.value().size();
 }
 
 void InvalidbRemote::Tick() {
-  MaybeFlushByAge();
+  changes_.Flush(StagedEnvelope::Reason::kInterval);
   req_sender_.Tick();
 }
 
@@ -620,7 +562,7 @@ void InvalidbRemote::StartPolling() {
     while (polling_.load()) {
       Tick();
       notif_receiver_.PollBlocking(
-          /*timeout_micros=*/10 * kMicrosPerMilli,
+          changes_.WaitBudget(kIdlePollMicros),
           [this](const std::string& payload) { HandleWire(payload); });
     }
   });
@@ -636,12 +578,7 @@ TransportStats InvalidbRemote::stats() const {
   s.decode_errors = decode_errors_.load();
   s.duplicates_dropped = notif_receiver_.duplicates_dropped();
   s.redeliveries = req_sender_.redeliveries();
-  s.batches_sent = batches_sent_.load();
-  s.batch_events = batch_events_.load();
-  s.flushes_size = flushes_size_.load();
-  s.flushes_interval = flushes_interval_.load();
-  s.flushes_barrier = flushes_barrier_.load();
-  s.flushes_manual = flushes_manual_.load();
+  changes_.AddTo(&s);
   return s;
 }
 
@@ -663,29 +600,24 @@ ReliableOptions WorkerReliable(ReliableOptions base) {
 InvalidbWorker::InvalidbWorker(Clock* clock, kv::KvStore* kv,
                                std::string prefix, InvalidbOptions options,
                                TransportOptions transport_options)
-    : kv_(kv),
-      options_(transport_options),
-      requests_queue_(prefix + ":requests"),
+    : requests_queue_(prefix + ":requests"),
       notifications_queue_(prefix + ":notifications"),
       req_receiver_(kv, requests_queue_, transport_options.reliable),
       notif_sender_(clock, kv, notifications_queue_, "invalidb",
-                    WorkerReliable(transport_options.reliable)) {
+                    WorkerReliable(transport_options.reliable)),
+      notifications_(clock, transport_options.batching,
+                     "{\"notifications\":[", "],\"op\":\"notify_batch\"}",
+                     &notif_sender_) {
+  // Each dispatch's notifications are staged in one call; they ship as
+  // one notify_batch envelope per pump cycle (or per max_batch overflow).
   cluster_ = std::make_unique<InvalidbCluster>(
       clock, options, [this](const Notification& n) {
-        if (options_.batching.enabled) {
-          BufferNotifications(&n, 1);
-        } else {
-          notif_sender_.Send(transport::EncodeNotification(n));
-        }
+        notifications_.Stage(&n, 1, transport::AppendNotificationSpec);
       });
-  if (options_.batching.enabled) {
-    // Coalesced fan-out: the cluster hands each dispatch's notifications
-    // over in one call; they accumulate into one notify_batch envelope
-    // per pump cycle (or per max_batch overflow).
-    cluster_->SetBatchSink([this](const std::vector<Notification>& batch) {
-      BufferNotifications(batch.data(), batch.size());
-    });
-  }
+  cluster_->SetBatchSink([this](const std::vector<Notification>& batch) {
+    notifications_.Stage(batch.data(), batch.size(),
+                         transport::AppendNotificationSpec);
+  });
 }
 
 InvalidbWorker::~InvalidbWorker() {
@@ -694,63 +626,14 @@ InvalidbWorker::~InvalidbWorker() {
   FlushNotifications();
 }
 
-void InvalidbWorker::SendEncodedNotifications(std::string payload,
-                                              size_t count) {
-  payload += "],\"op\":\"notify_batch\"}";
-  notif_sender_.Send(payload);
-  batches_sent_++;
-  batch_events_ += count;
-}
-
-void InvalidbWorker::BufferNotifications(const Notification* data,
-                                         size_t count) {
-  std::string payload;
-  size_t flushed = 0;
-  {
-    std::lock_guard<std::mutex> lock(notif_mu_);
-    for (size_t i = 0; i < count; ++i) {
-      if (notif_count_ == 0) {
-        notif_json_ = "{\"notifications\":[";
-      } else {
-        notif_json_ += ',';
-      }
-      transport::AppendNotificationSpec(&notif_json_, data[i]);
-      ++notif_count_;
-    }
-    if (notif_count_ >= options_.batching.max_batch) {
-      payload = std::move(notif_json_);
-      flushed = notif_count_;
-      notif_json_.clear();
-      notif_count_ = 0;
-    }
-  }
-  if (flushed > 0) {
-    flushes_size_++;
-    SendEncodedNotifications(std::move(payload), flushed);
-  }
-}
-
 size_t InvalidbWorker::FlushNotifications() {
-  if (!options_.batching.enabled) return 0;
-  std::string payload;
-  size_t flushed = 0;
-  {
-    std::lock_guard<std::mutex> lock(notif_mu_);
-    if (notif_count_ == 0) return 0;
-    payload = std::move(notif_json_);
-    flushed = notif_count_;
-    notif_json_.clear();
-    notif_count_ = 0;
-  }
-  flushes_manual_++;
-  SendEncodedNotifications(std::move(payload), flushed);
-  return flushed;
+  return notifications_.Flush(StagedEnvelope::Reason::kManual);
 }
 
 void InvalidbWorker::HandleMessage(const std::string& message) {
-  // Batch fast path (see InvalidbRemote::HandleWire): only change_batch
-  // envelopes start with this prefix, and the canonical form decodes in
-  // one pass with no Value tree for the batch skeleton.
+  // Batch fast path: only change_batch envelopes start with this prefix,
+  // and the canonical form decodes in one pass with no Value tree for the
+  // batch skeleton.
   if (message.compare(0, 11, "{\"events\":[") == 0) {
     auto events = transport::DecodeChangeBatch(message);
     if (!events.ok()) {
@@ -807,13 +690,6 @@ void InvalidbWorker::HandleMessage(const std::string& message) {
       return;
     }
     cluster_->DeregisterQuery(key->as_string());
-  } else if (op->as_string() == "change") {
-    auto ev = transport::DecodeChangeEvent(msg);
-    if (!ev.ok()) {
-      decode_errors_++;
-      return;
-    }
-    cluster_->OnChange(ev.value());
   } else if (op->as_string() == "change_batch") {
     auto events = transport::DecodeChangeBatch(msg);
     if (!events.ok()) {
@@ -839,7 +715,10 @@ void InvalidbWorker::HandleMessage(const std::string& message) {
   }
 }
 
-void InvalidbWorker::Tick() { notif_sender_.Tick(); }
+void InvalidbWorker::Tick() {
+  notifications_.Flush(StagedEnvelope::Reason::kInterval);
+  notif_sender_.Tick();
+}
 
 size_t InvalidbWorker::ProcessPending() {
   Tick();
@@ -856,7 +735,7 @@ void InvalidbWorker::Start() {
     while (running_.load()) {
       Tick();
       req_receiver_.PollBlocking(
-          /*timeout_micros=*/10 * kMicrosPerMilli,
+          notifications_.WaitBudget(kIdlePollMicros),
           [this](const std::string& payload) { HandleMessage(payload); });
       FlushNotifications();
     }
@@ -875,10 +754,7 @@ TransportStats InvalidbWorker::stats() const {
   s.decode_errors = decode_errors_.load();
   s.duplicates_dropped = req_receiver_.duplicates_dropped();
   s.redeliveries = notif_sender_.redeliveries();
-  s.batches_sent = batches_sent_.load();
-  s.batch_events = batch_events_.load();
-  s.flushes_size = flushes_size_.load();
-  s.flushes_manual = flushes_manual_.load();
+  notifications_.AddTo(&s);
   return s;
 }
 

@@ -34,7 +34,9 @@ namespace transport {
 /// Serialized message builders / parsers (exposed for tests). All
 /// encoders emit canonical JSON in a single append pass — keys in sorted
 /// order, byte-identical to serializing the equivalent db::Value tree.
-std::string EncodeChange(const db::ChangeEvent& event);
+/// Change events and notifications travel only inside batch envelopes; a
+/// single event is a batch of one.
+///
 /// One envelope carrying a commit-ordered slice of the change stream:
 /// {"events":[<event spec>...],"op":"change_batch"}.
 std::string EncodeChangeBatch(const std::vector<db::ChangeEvent>& events);
@@ -43,7 +45,6 @@ std::string EncodeRegister(const db::Query& query,
                            EventMask events, Micros evaluated_at);
 std::string EncodeDeregister(const std::string& query_key);
 std::string EncodeResize(size_t query_partitions, size_t object_partitions);
-std::string EncodeNotification(const Notification& n);
 /// One envelope carrying every notification of one dispatch:
 /// {"notifications":[<notification spec>...],"op":"notify_batch"}.
 std::string EncodeNotificationBatch(const std::vector<Notification>& batch);
@@ -54,9 +55,8 @@ std::string EncodeNotificationBatch(const std::vector<Notification>& batch);
 /// buffered events), so the flush just closes the envelope and sends.
 void AppendChangeEventSpec(std::string* out, const db::ChangeEvent& event);
 void AppendNotificationSpec(std::string* out, const Notification& n);
-Result<Notification> DecodeNotification(const std::string& message);
-/// Parse-once overload for callers that already hold the decoded Value.
-Result<Notification> DecodeNotification(const db::Value& msg);
+/// Decodes one notification spec (the inner element of a notify_batch).
+Result<Notification> DecodeNotification(const db::Value& spec);
 
 /// Decodes a document spec (internal wire format; exposed for tests).
 Result<db::Document> DecodeDocument(const db::Value& spec);
@@ -76,17 +76,17 @@ Result<std::vector<Notification>> DecodeNotificationBatch(
 
 }  // namespace transport
 
-/// Write-path batching knobs: when enabled, change events buffer at the
-/// sending endpoint and ship as one change_batch envelope per flush, and
-/// the worker coalesces each dispatch's notifications into one
-/// notify_batch envelope. Notification *content* is byte-identical to the
-/// per-event wire format; only the framing changes.
+/// Write-path batching: change events stage at the sending endpoint and
+/// ship as one change_batch envelope per flush; the worker stages each
+/// dispatch's notifications into notify_batch envelopes the same way.
+/// Notification *content* does not depend on the batch size; only the
+/// framing does. The default ships every event at once, as a batch of one.
 struct BatchOptions {
-  bool enabled = false;
-  /// Flush as soon as this many events are buffered.
-  size_t max_batch = 64;
-  /// Flush once the oldest buffered event is this old (checked in Tick /
-  /// DrainNotifications — manual-pump callers control the cadence).
+  /// Flush as soon as this many items are staged.
+  size_t max_batch = 1;
+  /// Flush once the oldest staged item is this old. Checked by Tick /
+  /// DrainNotifications / ProcessPending and by the background pollers,
+  /// which never sleep past the deadline.
   Micros flush_interval = 1 * kMicrosPerMilli;
 };
 
@@ -125,6 +125,87 @@ struct TransportStats {
                 const obs::Labels& labels = {}) const;
 };
 
+/// One endpoint's outbound batcher: a batch envelope staged as pre-encoded
+/// bytes (the open prefix plus one inner spec per staged item), shipped
+/// through a ReliableSender. The remote stages change events into
+/// change_batch envelopes, the worker notifications into notify_batch
+/// envelopes. A flush fires when max_batch items are staged (size), when
+/// the oldest staged item reaches flush_interval (interval), before a
+/// control request that must not overtake staged items (barrier), or on
+/// request (manual). Thread-safe.
+class StagedEnvelope {
+ public:
+  enum class Reason { kSize, kInterval, kBarrier, kManual };
+
+  /// `open` starts an envelope ("{\"events\":["); `close` ends it.
+  StagedEnvelope(Clock* clock, const BatchOptions& options, const char* open,
+                 const char* close, ReliableSender* sender)
+      : clock_(clock),
+        options_(options),
+        open_(open),
+        close_(close),
+        sender_(sender) {}
+
+  /// Stages `count` items, appending each with `append(&json, item)`, and
+  /// ships the envelope if it reached max_batch.
+  template <typename T, typename AppendFn>
+  void Stage(const T* items, size_t count, AppendFn append) {
+    std::string payload;
+    size_t taken = 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (size_t i = 0; i < count; ++i) {
+        if (count_ == 0) {
+          oldest_ = clock_->NowMicros();
+          json_ = open_;
+        } else {
+          json_ += ',';
+        }
+        append(&json_, items[i]);
+        ++count_;
+      }
+      if (count_ < options_.max_batch) return;
+      taken = TakeLocked(&payload);
+    }
+    Ship(std::move(payload), taken, Reason::kSize);
+  }
+
+  /// Ships whatever is staged now and returns how many items shipped; a
+  /// kInterval flush ships only once the oldest item is flush_interval old.
+  size_t Flush(Reason reason);
+
+  /// How long a poller may block before an interval flush is due: until the
+  /// oldest staged item ages out, at most `idle`. When nothing is staged,
+  /// an item staged during the wait is due one flush_interval after it
+  /// arrives, so the wait is capped by that too (unless every item ships
+  /// at once, max_batch <= 1).
+  Micros WaitBudget(Micros idle) const;
+
+  size_t staged() const;
+
+  /// Adds batches_sent, batch_events and the four flushes_* counters.
+  void AddTo(TransportStats* stats) const;
+
+ private:
+  size_t TakeLocked(std::string* payload);
+  void Ship(std::string payload, size_t count, Reason reason);
+
+  Clock* clock_;
+  const BatchOptions options_;
+  const char* const open_;
+  const char* const close_;
+  ReliableSender* const sender_;
+
+  mutable std::mutex mu_;
+  std::string json_;
+  size_t count_ = 0;
+  Micros oldest_ = 0;
+
+  std::atomic<uint64_t> batches_sent_{0};
+  std::atomic<uint64_t> batch_events_{0};
+  std::atomic<uint64_t> flushes_[4] = {};
+};
+
 /// The Quaestor-side stub: mirrors InvalidbCluster's interface but ships
 /// every call through the KV queues; a background (or manually pumped)
 /// poller delivers notifications to the sink.
@@ -151,9 +232,9 @@ class InvalidbRemote {
   /// matched on the old grid and everything after on the new one.
   void Resize(size_t query_partitions, size_t object_partitions);
 
-  /// Ships the buffered change batch now (no-op when batching is off or
-  /// the buffer is empty). Register/Deregister/Resize flush implicitly —
-  /// a buffered change must never be reordered after a control request.
+  /// Ships the staged change batch now (no-op when nothing is staged).
+  /// Register/Deregister/Resize flush implicitly — a staged change must
+  /// never be reordered after a control request.
   void FlushChanges();
 
   /// Delivers all currently queued notifications to the sink (manual
@@ -165,7 +246,9 @@ class InvalidbRemote {
   /// draining notifications.
   void Tick();
 
-  /// Starts/stops a background notification poller thread. Stop/Start
+  /// Starts/stops a background notification poller thread, which also
+  /// ships aged change batches (it never sleeps past the batch deadline,
+  /// so a lone staged write leaves within ~flush_interval). Stop/Start
   /// also models a poller crash + restart: queued notifications survive
   /// in the KV queue and are delivered after the restart.
   void StartPolling();
@@ -182,40 +265,21 @@ class InvalidbRemote {
   size_t unacked_requests() const { return req_sender_.unacked(); }
   /// Out-of-order notifications parked until their gap fills.
   size_t pending_notifications() const { return notif_receiver_.pending(); }
-  /// Change events currently buffered awaiting a flush.
-  size_t buffered_changes() const;
+  /// Change events currently staged awaiting a flush.
+  size_t buffered_changes() const { return changes_.staged(); }
 
   uint64_t decode_errors() const { return decode_errors_.load(); }
   TransportStats stats() const;
 
  private:
   size_t HandleWire(const std::string& payload);
-  void SendEncodedBatch(std::string payload, size_t count);
-  void FlushWithReason(std::atomic<uint64_t>* reason);
-  void MaybeFlushByAge();
 
-  Clock* clock_;
-  kv::KvStore* kv_;
-  TransportOptions options_;
   std::string requests_queue_;
   std::string notifications_queue_;
   NotificationSink sink_;
   ReliableSender req_sender_;
   ReliableReceiver notif_receiver_;
-
-  /// Ingest batch staged as pre-encoded envelope bytes (guarded by
-  /// batch_mu_): the open "{"events":[" prefix plus one spec per buffered
-  /// event. batch_oldest_ is the NowMicros when the run started.
-  mutable std::mutex batch_mu_;
-  std::string batch_json_;
-  size_t batch_count_ = 0;
-  Micros batch_oldest_ = 0;
-  std::atomic<uint64_t> batches_sent_{0};
-  std::atomic<uint64_t> batch_events_{0};
-  std::atomic<uint64_t> flushes_size_{0};
-  std::atomic<uint64_t> flushes_interval_{0};
-  std::atomic<uint64_t> flushes_barrier_{0};
-  std::atomic<uint64_t> flushes_manual_{0};
+  StagedEnvelope changes_;
 
   std::atomic<uint64_t> decode_errors_{0};
   std::atomic<bool> polling_{false};
@@ -240,8 +304,8 @@ class InvalidbWorker {
   /// flushes buffered notifications at the end of the pump.
   size_t ProcessPending();
 
-  /// Ships the buffered notification batch now (no-op when batching is
-  /// off or nothing is buffered). Returns how many notifications shipped.
+  /// Ships the staged notification batch now (no-op when nothing is
+  /// staged). Returns how many notifications shipped.
   size_t FlushNotifications();
 
   /// Pumps the reliable machinery without processing requests.
@@ -257,30 +321,17 @@ class InvalidbWorker {
 
  private:
   void HandleMessage(const std::string& message);
-  void BufferNotifications(const Notification* data, size_t count);
-  void SendEncodedNotifications(std::string payload, size_t count);
 
-  kv::KvStore* kv_;
-  TransportOptions options_;
   std::string requests_queue_;
   std::string notifications_queue_;
   ReliableReceiver req_receiver_;
   ReliableSender notif_sender_;
+  /// Fed by the cluster's batch sink (from node threads when threaded);
+  /// flushed at the end of every pump cycle.
+  StagedEnvelope notifications_;
   std::unique_ptr<InvalidbCluster> cluster_;
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> decode_errors_{0};
-
-  /// Outbound notification batch staged as pre-encoded envelope bytes
-  /// (guarded by notif_mu_). Fed by the cluster's batch sink from worker
-  /// threads; drained by the pump.
-  std::mutex notif_mu_;
-  std::string notif_json_;
-  size_t notif_count_ = 0;
-  std::atomic<uint64_t> batches_sent_{0};
-  std::atomic<uint64_t> batch_events_{0};
-  std::atomic<uint64_t> flushes_size_{0};
-  std::atomic<uint64_t> flushes_manual_{0};
-
   std::thread consumer_;
 };
 

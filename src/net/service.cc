@@ -68,9 +68,6 @@ bool NetServer::Start() {
     pipeline.on_change = [remote](const db::ChangeEvent& ev) {
       remote->OnChange(ev);
     };
-    pipeline.on_change_batch = [remote](std::vector<db::ChangeEvent> batch) {
-      for (const db::ChangeEvent& ev : batch) remote->OnChange(ev);
-    };
     server_->SetExternalPipeline(std::move(pipeline));
   }
 

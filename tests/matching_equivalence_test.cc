@@ -663,7 +663,6 @@ std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
   TransportOptions topts;
   topts.reliable.enabled = true;
   topts.reliable.seed = 0xba7c ^ batch;
-  topts.batching.enabled = batch > 1;
   topts.batching.max_batch = batch;
   std::vector<std::string> sigs;
   InvalidbOptions copts;

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
 #include "core/query_result.h"
 #include "core/server.h"
 #include "db/database.h"
+#include "invalidb/transport.h"
+#include "kv/kv_store.h"
 
 namespace quaestor::core {
 namespace {
@@ -358,143 +364,118 @@ TEST_F(ServerTest, DeleteInvalidatesQueriesAndRecord) {
   EXPECT_TRUE(server_->ebf().IsStale(q.NormalizedKey()));
 }
 
-// Write batching must be invisible in output: the same write script run
-// with batching off and on (both size- and age-triggered flushes) yields
-// the same notification multiset, the same EBF flags, the same purges,
-// and the same invalidation count.
-TEST_F(ServerTest, WriteBatchingMatchesPerEventPath) {
-  auto sig = [](const invalidb::Notification& n) {
-    return n.query_key + "|" + n.record_id + "|" +
-           std::to_string(static_cast<int>(n.type)) + "|" +
-           std::to_string(n.new_index);
-  };
-  struct RunResult {
-    std::vector<std::string> notifications;  // sorted sigs
-    std::vector<std::string> purged;         // sorted + deduped: batching
-                                             // coalesces same-key purges
-                                             // within a flush by design
-    size_t purge_calls = 0;
-    std::vector<std::string> stale_keys;  // sorted
-    uint64_t invalidations = 0;
-  };
-  auto run = [&](ServerOptions opts) {
-    SimulatedClock clock(0);
-    db::Database db(&clock);
-    QuaestorServer server(&clock, &db, opts);
-    RunResult r;
-    server.AddPurgeTarget(
-        [&](const std::string& key) { r.purged.push_back(key); });
-    server.AddNotificationTap([&](const invalidb::Notification& n) {
-      r.notifications.push_back(sig(n));
-    });
-    std::vector<db::Query> queries;
-    for (int g = 0; g < 4; ++g) {
-      queries.push_back(
-          Q("t", ("{\"g\":" + std::to_string(g) + "}").c_str()));
-    }
-    for (int i = 0; i < 20; ++i) {
-      EXPECT_TRUE(server
-                      .Insert("t", "r" + std::to_string(i),
-                              Doc(("{\"g\":" + std::to_string(i % 4) + "}")
-                                      .c_str()))
-                      .ok());
-    }
-    for (const db::Query& q : queries) {
-      server.RegisterQueryShape(q);
-      webcache::HttpRequest req;
-      req.key = q.NormalizedKey();
-      EXPECT_TRUE(server.Fetch(req).ok);
-    }
-    clock.Advance(1 * kSecond);
-    r.purged.clear();
-    // Deterministic churn: group moves (add+remove pairs), no-op groups
-    // (g=4 matches nothing), deletes, and clock advances that trigger
-    // age-based flushes mid-script when batching is on.
-    for (int i = 0; i < 40; ++i) {
-      const std::string id = "r" + std::to_string((i * 7) % 20);
-      if (i % 9 == 8) {
-        (void)server.Delete("t", id);  // may already be deleted: fine
-      } else {
-        db::Update u;
-        u.Set("g", db::Value((i * 3) % 5));
-        (void)server.Update("t", id, u);
-      }
-      if (i % 11 == 10) clock.Advance(2 * kMicrosPerMilli);
-    }
-    server.FlushChanges();
-    for (const db::Query& q : queries) {
-      if (server.ebf().IsStale(q.NormalizedKey())) {
-        r.stale_keys.push_back(q.NormalizedKey());
-      }
-    }
-    r.invalidations = server.stats().query_invalidations;
-    std::sort(r.notifications.begin(), r.notifications.end());
-    r.purge_calls = r.purged.size();
-    std::sort(r.purged.begin(), r.purged.end());
-    r.purged.erase(std::unique(r.purged.begin(), r.purged.end()),
-                   r.purged.end());
-    return r;
-  };
-
-  ServerOptions off;
-  const RunResult reference = run(off);
-  ASSERT_GT(reference.notifications.size(), 10u);
-  ASSERT_FALSE(reference.stale_keys.empty());
-
-  for (size_t max_batch : {4u, 64u}) {
-    ServerOptions on;
-    on.write_batching.enabled = true;
-    on.write_batching.max_batch = max_batch;
-    const RunResult batched = run(on);
-    EXPECT_EQ(batched.notifications, reference.notifications)
-        << "max_batch=" << max_batch;
-    EXPECT_EQ(batched.purged, reference.purged) << "max_batch=" << max_batch;
-    // Coalescing may only ever reduce purge traffic, never add to it.
-    EXPECT_LE(batched.purge_calls, reference.purge_calls);
-    EXPECT_EQ(batched.stale_keys, reference.stale_keys);
-    EXPECT_EQ(batched.invalidations, reference.invalidations);
+// One dispatch, one handler: an update that shifts a sorted window yields
+// several notifications for the same query. Each reaches the taps and the
+// invalidation counter, but the key is EBF-flagged and purged only once.
+TEST_F(ServerTest, WindowShiftNotifiesEachButFlagsAndPurgesKeyOnce) {
+  MakeServer();
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(server_
+                    ->Insert("t", std::to_string(i),
+                             Doc(("{\"n\":" + std::to_string(i) + "}")
+                                     .c_str()))
+                    .ok());
   }
-}
-
-// With batching on, a single write sits in the buffer (no notification,
-// no EBF flag) until a flush: explicitly, by size, or by age.
-TEST_F(ServerTest, WriteBatchingDefersUntilFlush) {
-  ServerOptions opts;
-  opts.write_batching.enabled = true;
-  opts.write_batching.max_batch = 64;
-  opts.write_batching.flush_interval = 1 * kMicrosPerMilli;
-  MakeServer(opts);
+  db::Query q = Q("t", "{}");
+  q.SetOrderBy({{"n", false}}).SetLimit(2);
+  (void)GetQuery(q);  // window [t/4, t/3]
   std::vector<invalidb::Notification> taps;
   server_->AddNotificationTap(
       [&](const invalidb::Notification& n) { taps.push_back(n); });
-  ASSERT_TRUE(server_->Insert("t", "1", Doc(R"({"g":1})")).ok());
-  server_->FlushChanges();
-  db::Query q = Q("t", R"({"g":1})");
-  (void)GetQuery(q);
   clock_.Advance(1 * kSecond);
+  purged_.clear();
+  const uint64_t invalidations = server_->stats().query_invalidations;
+  const uint64_t flags = server_->ebf().AggregateStats().invalidations_reported;
+
+  // t/0 jumps to the top: t/0 enters the window, t/3 drops out of it.
+  db::Update u;
+  u.Set("n", db::Value(99));
+  ASSERT_TRUE(server_->Update("t", "0", u).ok());
+
+  ASSERT_EQ(taps.size(), 2u);
+  EXPECT_EQ(taps[0].type, invalidb::NotificationType::kRemove);
+  EXPECT_EQ(taps[0].record_id, "3");
+  EXPECT_EQ(taps[1].type, invalidb::NotificationType::kAdd);
+  EXPECT_EQ(taps[1].record_id, "0");
+  for (const invalidb::Notification& n : taps) {
+    EXPECT_EQ(n.query_key, q.NormalizedKey());
+  }
+  EXPECT_EQ(server_->stats().query_invalidations - invalidations, 2u);
+  EXPECT_EQ(std::count(purged_.begin(), purged_.end(), q.NormalizedKey()), 1);
+  // One flag for the written record, one for the query key.
+  EXPECT_EQ(server_->ebf().AggregateStats().invalidations_reported - flags,
+            2u);
+  EXPECT_TRUE(server_->ebf().IsStale(q.NormalizedKey()));
+}
+
+// A lone write over a batching transport (max_batch 64) must not wait for
+// the next write: the remote's poller ships the staged change once it ages
+// out, so the query's EBF flag and purge arrive with no further traffic.
+TEST(ServerPipelineTest, LoneWriteIsFlaggedAndPurgedWithoutFurtherWrites) {
+  Clock* clock = SystemClock::Default();
+  db::Database db(clock);
+  QuaestorServer server(clock, &db);
+  std::mutex mu;
+  std::vector<std::string> purged;
+  server.AddPurgeTarget([&](const std::string& key) {
+    std::lock_guard<std::mutex> lock(mu);
+    purged.push_back(key);
+  });
+
+  kv::KvStore kv(clock);
+  invalidb::TransportOptions topts;
+  topts.batching.max_batch = 64;
+  topts.batching.flush_interval = 1 * kMicrosPerMilli;
+  invalidb::InvalidbWorker worker(clock, &kv, "lone",
+                                  invalidb::InvalidbOptions(), topts);
+  invalidb::InvalidbRemote remote(
+      clock, &kv, "lone",
+      [&](const invalidb::Notification& n) {
+        server.OnExternalNotifications({n});
+      },
+      topts);
+  QuaestorServer::ExternalPipeline pipeline;
+  pipeline.register_query = [&](const db::Query& query,
+                                const std::vector<db::Document>& initial,
+                                invalidb::EventMask events) {
+    remote.RegisterQuery(query, initial, events);
+    return Status::OK();
+  };
+  pipeline.deregister_query = [&](const std::string& key) {
+    remote.DeregisterQuery(key);
+  };
+  pipeline.on_change = [&](const db::ChangeEvent& ev) { remote.OnChange(ev); };
+  server.SetExternalPipeline(std::move(pipeline));
+  worker.Start();
+  remote.StartPolling();
+
+  ASSERT_TRUE(server.Insert("t", "1", Doc(R"({"g":1})")).ok());
+  db::Query q = Q("t", R"({"g":1})");
+  server.RegisterQueryShape(q);
+  webcache::HttpRequest req;
+  req.key = q.NormalizedKey();
+  ASSERT_TRUE(server.Fetch(req).ok);
 
   db::Update u;
   u.Set("g", db::Value(2));
-  ASSERT_TRUE(server_->Update("t", "1", u).ok());
-  EXPECT_TRUE(taps.empty());  // buffered, not yet matched
-  EXPECT_FALSE(server_->ebf().IsStale(q.NormalizedKey()));
-
-  EXPECT_EQ(server_->FlushChanges(), 1u);
-  ASSERT_EQ(taps.size(), 1u);
-  EXPECT_EQ(taps[0].type, invalidb::NotificationType::kRemove);
-  EXPECT_TRUE(server_->ebf().IsStale(q.NormalizedKey()));
-
-  // Age-triggered: a write whose buffer has an over-age oldest event
-  // flushes inline.
-  db::Update back;
-  back.Set("g", db::Value(1));
-  ASSERT_TRUE(server_->Update("t", "1", back).ok());
-  clock_.Advance(2 * kMicrosPerMilli);
-  db::Update again;
-  again.Set("g", db::Value(3));
-  ASSERT_TRUE(server_->Update("t", "1", again).ok());
-  EXPECT_EQ(taps.size(), 3u);  // both buffered events delivered
-  EXPECT_EQ(server_->FlushChanges(), 0u);
+  ASSERT_TRUE(server.Update("t", "1", u).ok());
+  const auto purged_query = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return std::count(purged.begin(), purged.end(), q.NormalizedKey()) > 0;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!(purged_query() && server.ebf().IsStale(q.NormalizedKey())) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(server.ebf().IsStale(q.NormalizedKey()));
+  EXPECT_TRUE(purged_query());
+  EXPECT_EQ(server.stats().query_invalidations, 1u);
+  EXPECT_EQ(remote.buffered_changes(), 0u);
+  EXPECT_GE(remote.stats().flushes_interval, 1u);
+  remote.StopPolling();
+  worker.Stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ std::string RandomBytes(Rng* rng, size_t max_len) {
 
 // Feeds one message into every decoder; none may crash.
 void ExerciseDecoders(const std::string& message) {
-  (void)transport::DecodeNotification(message).ok();
   (void)transport::DecodeChangeBatch(message).ok();
   (void)transport::DecodeNotificationBatch(message).ok();
   (void)reliable::Decode(message).ok();
@@ -51,6 +50,8 @@ void ExerciseDecoders(const std::string& message) {
   if (parsed.ok()) {
     (void)db::Query::FromSpec(parsed.value()).ok();
     (void)transport::DecodeDocument(parsed.value()).ok();
+    (void)transport::DecodeChangeEvent(parsed.value()).ok();
+    (void)transport::DecodeNotification(parsed.value()).ok();
   }
 }
 
@@ -70,7 +71,7 @@ std::vector<std::string> ValidWireMessages() {
   n.record_id = "d7";
   n.event_time = 12345;
   n.new_index = 3;
-  msgs.push_back(transport::EncodeNotification(n));
+  msgs.push_back(transport::EncodeNotificationBatch({n}));
 
   db::ChangeEvent ev;
   ev.kind = db::WriteKind::kUpdate;
@@ -78,7 +79,7 @@ std::vector<std::string> ValidWireMessages() {
   ev.after.id = "p1";
   ev.after.body = Doc(R"({"g":1,"tags":["a","b"]})");
   ev.commit_time = 99;
-  msgs.push_back(transport::EncodeChange(ev));
+  msgs.push_back(transport::EncodeChangeBatch({ev}));
 
   db::Query q = Q("posts", R"({"g":{"$gte":1},"x":"y"})");
   q.SetOrderBy({{"score", false}}).SetLimit(3);
@@ -236,6 +237,44 @@ TEST(TransportFuzzTest, WorkerDropsTornBatchesWhole) {
   EXPECT_EQ(worker.cluster().stats().changes_ingested, 3u);
 }
 
+// The worker takes change events only inside batch envelopes: a bare
+// {"op":"change",...} message on its queue is a decode error and is never
+// matched, while the same event as a batch of one is.
+TEST(TransportFuzzTest, LegacyPerEventChangeIsADecodeErrorNeverMatched) {
+  SimulatedClock clock(0);
+  kv::KvStore kv(&clock);
+  std::vector<Notification> received;
+  InvalidbWorker worker(&clock, &kv, "lg");
+  InvalidbRemote remote(&clock, &kv, "lg",
+                        [&](const Notification& n) { received.push_back(n); });
+  db::Query q = Q("posts", R"({"g":1})");
+  kv.QueuePush("lg:requests", transport::EncodeRegister(q, {}, kEventsAll, 0));
+  kv.QueuePush("lg:requests",
+               R"({"after":{"body":{"g":1},"deleted":false,"id":"p1",)"
+               R"("table":"posts","version":1,"write_time":5},)"
+               R"("commit_time":5,"kind":1,"op":"change"})");
+  worker.ProcessPending();
+  remote.DrainNotifications();
+  EXPECT_EQ(worker.decode_errors(), 1u);
+  EXPECT_TRUE(received.empty());
+  EXPECT_EQ(worker.cluster().stats().changes_ingested, 0u);
+
+  db::ChangeEvent ev;
+  ev.kind = db::WriteKind::kUpdate;
+  ev.after.table = "posts";
+  ev.after.id = "p1";
+  ev.after.body = Doc(R"({"g":1})");
+  ev.after.version = 1;
+  ev.after.write_time = 5;
+  ev.commit_time = 5;
+  kv.QueuePush("lg:requests", transport::EncodeChangeBatch({ev}));
+  worker.ProcessPending();
+  remote.DrainNotifications();
+  EXPECT_EQ(worker.decode_errors(), 1u);
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0].record_id, "p1");
+}
+
 TEST(TransportFuzzTest, RemoteSurvivesGarbageOnItsNotificationQueue) {
   SimulatedClock clock(0);
   kv::KvStore kv(&clock);
@@ -251,7 +290,7 @@ TEST(TransportFuzzTest, RemoteSurvivesGarbageOnItsNotificationQueue) {
   n.type = NotificationType::kAdd;
   n.query_key = "k";
   n.record_id = "r";
-  kv.QueuePush("fz:notifications", transport::EncodeNotification(n));
+  kv.QueuePush("fz:notifications", transport::EncodeNotificationBatch({n}));
   remote.DrainNotifications();
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0].record_id, "r");

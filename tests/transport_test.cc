@@ -82,27 +82,37 @@ TEST(QuerySpecTest, RejectsMalformed) {
 // Message encode/decode
 // ---------------------------------------------------------------------------
 
-TEST(TransportCodecTest, NotificationRoundTrip) {
+TEST(TransportCodecTest, NotificationBatchOfOneRoundTrip) {
   Notification n;
   n.type = NotificationType::kChangeIndex;
   n.query_key = "q:t?a $eq 1";
   n.record_id = "d7";
   n.event_time = 12345;
   n.new_index = 3;
-  auto back = transport::DecodeNotification(transport::EncodeNotification(n));
+  auto back = transport::DecodeNotificationBatch(
+      transport::EncodeNotificationBatch({n}));
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->type, n.type);
-  EXPECT_EQ(back->query_key, n.query_key);
-  EXPECT_EQ(back->record_id, n.record_id);
-  EXPECT_EQ(back->event_time, n.event_time);
-  EXPECT_EQ(back->new_index, n.new_index);
+  ASSERT_EQ(back->size(), 1u);
+  EXPECT_EQ((*back)[0].type, n.type);
+  EXPECT_EQ((*back)[0].query_key, n.query_key);
+  EXPECT_EQ((*back)[0].record_id, n.record_id);
+  EXPECT_EQ((*back)[0].event_time, n.event_time);
+  EXPECT_EQ((*back)[0].new_index, n.new_index);
 }
 
 TEST(TransportCodecTest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(transport::DecodeNotification(std::string("not json")).ok());
-  EXPECT_FALSE(transport::DecodeNotification(std::string("{}")).ok());
   EXPECT_FALSE(
-      transport::DecodeNotification(std::string(R"({"type":"x"})")).ok());
+      transport::DecodeNotificationBatch(std::string("not json")).ok());
+  EXPECT_FALSE(transport::DecodeNotificationBatch(std::string("{}")).ok());
+  EXPECT_FALSE(transport::DecodeNotificationBatch(
+                   std::string(R"({"notifications":[{"type":"x"}],)"
+                               R"("op":"notify_batch"})"))
+                   .ok());
+  // A bare notification spec is not a message of its own.
+  EXPECT_FALSE(transport::DecodeNotificationBatch(
+                   std::string(R"({"event_time":1,"new_index":-1,)"
+                               R"("query_key":"k","record_id":"r","type":0})"))
+                   .ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -120,7 +130,7 @@ std::string Canonicalize(const std::string& json) {
   return v->ToJson();
 }
 
-TEST(TransportGoldenTest, ChangeEncodingBytes) {
+TEST(TransportGoldenTest, ChangeBatchOfOneEncodingBytes) {
   db::ChangeEvent ev;
   ev.kind = db::WriteKind::kUpdate;
   ev.after.table = "posts";
@@ -129,27 +139,27 @@ TEST(TransportGoldenTest, ChangeEncodingBytes) {
   ev.after.write_time = 42;
   ev.after.body = Doc(R"({"z":[1,null],"a":"x"})");  // sorted on encode
   ev.commit_time = 43;
-  const std::string got = transport::EncodeChange(ev);
+  const std::string got = transport::EncodeChangeBatch({ev});
   EXPECT_EQ(got,
-            "{\"after\":{\"body\":{\"a\":\"x\",\"z\":[1,null]},"
+            "{\"events\":[{\"after\":{\"body\":{\"a\":\"x\",\"z\":[1,null]},"
             "\"deleted\":false,\"id\":\"p\\\"1\\\\x\",\"table\":\"posts\","
             "\"version\":7,\"write_time\":42},\"commit_time\":43,"
-            "\"kind\":1,\"op\":\"change\"}");
+            "\"kind\":1}],\"op\":\"change_batch\"}");
   EXPECT_EQ(got, Canonicalize(got));
 }
 
-TEST(TransportGoldenTest, NotificationEncodingBytes) {
+TEST(TransportGoldenTest, NotificationBatchOfOneEncodingBytes) {
   Notification n;
   n.type = NotificationType::kChangeIndex;
   n.query_key = "q:t?a $eq 1";
   n.record_id = "d7";
   n.event_time = 12345;
   n.new_index = 3;
-  const std::string got = transport::EncodeNotification(n);
+  const std::string got = transport::EncodeNotificationBatch({n});
   EXPECT_EQ(got,
-            "{\"event_time\":12345,\"new_index\":3,"
+            "{\"notifications\":[{\"event_time\":12345,\"new_index\":3,"
             "\"query_key\":\"q:t?a $eq 1\","
-            "\"record_id\":\"d7\",\"type\":3}");
+            "\"record_id\":\"d7\",\"type\":3}],\"op\":\"notify_batch\"}");
   EXPECT_EQ(got, Canonicalize(got));
 }
 
@@ -329,6 +339,27 @@ TEST_F(TransportTest, RegisterMatchNotifyRoundTrip) {
   EXPECT_EQ(received_[0].query_key, q.NormalizedKey());
 }
 
+// The default batch size is one: every change leaves at once, framed as a
+// change_batch of one, and every dispatch's notifications as one
+// notify_batch — nothing waits for a flush.
+TEST_F(TransportTest, DefaultShipsEachChangeAtOnceAsABatchOfOne) {
+  db::Query q = Q("posts", R"({"g":1})");
+  remote_.RegisterQuery(q, {}, kEventsAll);
+  remote_.OnChange(Change("posts", "p1", R"({"g":1})", 42));
+  EXPECT_EQ(remote_.buffered_changes(), 0u);
+  ASSERT_EQ(kv_.QueueLen("invalidb:requests"), 2u);
+  const TransportStats sent = remote_.stats();
+  EXPECT_EQ(sent.batches_sent, 1u);
+  EXPECT_EQ(sent.batch_events, 1u);
+  EXPECT_EQ(sent.flushes_size, 1u);
+
+  worker_.ProcessPending();
+  EXPECT_EQ(worker_.stats().batches_sent, 1u);
+  EXPECT_EQ(worker_.stats().flushes_size, 1u);
+  EXPECT_EQ(worker_.stats().flushes_manual, 0u);
+  EXPECT_EQ(remote_.DrainNotifications(), 1u);
+}
+
 TEST_F(TransportTest, InitialResultShipsOverTheWire) {
   db::Query q = Q("posts", R"({"g":1})");
   db::Document init;
@@ -418,7 +449,6 @@ class BatchedTransportTest : public ::testing::Test {
   static TransportOptions Topts() {
     TransportOptions topts;
     topts.reliable.enabled = true;
-    topts.batching.enabled = true;
     topts.batching.max_batch = 4;
     topts.batching.flush_interval = 5 * kMicrosPerMilli;
     return topts;
