@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -138,6 +139,9 @@ int main(int argc, char** argv) {
 
   db::Object root;
   root["benchmark"] = db::Value("net_loopback");
+  root["hardware_threads"] = db::Value(
+      static_cast<int64_t>(std::thread::hardware_concurrency()));
+  root["build_type"] = db::Value(QUAESTOR_BUILD_TYPE);
   root["ops_per_path"] = db::Value(static_cast<int64_t>(ops));
   db::Object read;
   read["inprocess"] = bench::ToValue(local_read);

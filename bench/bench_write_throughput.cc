@@ -98,11 +98,12 @@ RunResult Run(size_t batch, size_t num_events, double match_rate) {
 
   uint64_t notifications = 0;
   InvalidbWorker worker(clock, &kv, "bench", copts, topts);
-  InvalidbRemote remote(clock, &kv, "bench",
-                        [&notifications](const invalidb::Notification&) {
-                          notifications++;
-                        },
-                        topts);
+  InvalidbRemote remote(
+      clock, &kv, "bench",
+      [&notifications](const std::vector<invalidb::Notification>& batch) {
+        notifications += batch.size();
+      },
+      topts);
 
   // Install the query set: one equality query per group, two members each.
   const Micros t0 = clock->NowMicros();

@@ -49,8 +49,6 @@ QuaestorServer::QuaestorServer(Clock* clock, db::Database* database,
   // stale query.
   invalidb_ = std::make_unique<invalidb::InvalidbCluster>(
       clock, options.invalidb_options,
-      [this](const invalidb::Notification& n) { OnNotificationBatch({n}); });
-  invalidb_->SetBatchSink(
       [this](const std::vector<invalidb::Notification>& batch) {
         OnNotificationBatch(batch);
       });
@@ -79,37 +77,31 @@ QuaestorServer::QuaestorServer(Clock* clock, db::Database* database,
   transactions_ = std::make_unique<TransactionManager>(this);
 }
 
-void QuaestorServer::SetExternalPipeline(ExternalPipeline pipeline) {
-  external_pipeline_ = std::move(pipeline);
-  has_external_pipeline_ = true;
-}
-
-void QuaestorServer::OnExternalNotifications(
-    const std::vector<invalidb::Notification>& batch) {
-  if (batch.empty()) return;
-  OnNotificationBatch(batch);
+void QuaestorServer::UseRemoteInvalidb(invalidb::InvalidbRemote* remote) {
+  remote_invalidb_ = remote;
 }
 
 Status QuaestorServer::PipelineRegisterQuery(
     const db::Query& query, const std::vector<db::Document>& initial,
     invalidb::EventMask events) {
-  if (has_external_pipeline_) {
-    return external_pipeline_.register_query(query, initial, events);
+  if (remote_invalidb_ != nullptr) {
+    remote_invalidb_->RegisterQuery(query, initial, events);
+    return Status::OK();
   }
   return invalidb_->RegisterQuery(query, initial, events);
 }
 
 void QuaestorServer::PipelineDeregisterQuery(const std::string& query_key) {
-  if (has_external_pipeline_) {
-    external_pipeline_.deregister_query(query_key);
+  if (remote_invalidb_ != nullptr) {
+    remote_invalidb_->DeregisterQuery(query_key);
     return;
   }
   invalidb_->DeregisterQuery(query_key);
 }
 
 void QuaestorServer::PipelineOnChange(const db::ChangeEvent& ev) {
-  if (has_external_pipeline_) {
-    external_pipeline_.on_change(ev);
+  if (remote_invalidb_ != nullptr) {
+    remote_invalidb_->OnChange(ev);
     return;
   }
   invalidb_->OnChange(ev);

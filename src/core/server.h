@@ -24,6 +24,7 @@
 #include "db/schema.h"
 #include "ebf/expiring_bloom_filter.h"
 #include "invalidb/cluster.h"
+#include "invalidb/transport.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "ttl/active_list.h"
@@ -230,26 +231,18 @@ class QuaestorServer : public webcache::Origin {
   void AddNotificationTap(invalidb::NotificationSink tap);
 
   /// Routes the InvaliDB *data path* — query (de)registrations and the
-  /// change stream — to an external matching cluster (e.g. workers
-  /// reached over TCP, src/net) instead of the in-process one. Health,
+  /// change stream — to `remote` (workers reached over the KV queues,
+  /// e.g. over TCP in src/net) instead of the in-process cluster. Health,
   /// resize, fault-injection and stats stay on the local cluster object.
   /// Install before serving traffic; not synchronized against in-flight
-  /// requests. Notifications from the external cluster come back through
-  /// OnExternalNotifications.
-  struct ExternalPipeline {
-    std::function<Status(const db::Query& query,
-                         const std::vector<db::Document>& initial_result,
-                         invalidb::EventMask events)>
-        register_query;
-    std::function<void(const std::string& query_key)> deregister_query;
-    std::function<void(const db::ChangeEvent& event)> on_change;
-  };
-  void SetExternalPipeline(ExternalPipeline pipeline);
+  /// requests. The remote's sink should feed OnNotificationBatch.
+  void UseRemoteInvalidb(invalidb::InvalidbRemote* remote);
 
-  /// Invalidation feedback from an external pipeline: runs the same
-  /// memo-erase / EBF-flag / CDN-purge handling as local notifications.
-  void OnExternalNotifications(
-      const std::vector<invalidb::Notification>& batch);
+  /// Handles the notifications of one InvaliDB dispatch (query results
+  /// became stale), in-process or remote. Every notification reaches the
+  /// taps, the counters and the TTL feedback; the memo-erase / EBF-flag /
+  /// CDN-purge pass runs once per distinct query key.
+  void OnNotificationBatch(const std::vector<invalidb::Notification>& batch);
 
   // -- Fault tolerance & degradation --
 
@@ -360,14 +353,8 @@ class QuaestorServer : public webcache::Origin {
   webcache::HttpResponse FetchQuery(const webcache::HttpRequest& request,
                                     const db::Query& query);
 
-  /// Handles the notifications of one InvaliDB dispatch (query results
-  /// became stale). Every notification reaches the taps, the counters and
-  /// the TTL feedback; the memo-erase / EBF-flag / CDN-purge pass runs
-  /// once per distinct query key.
-  void OnNotificationBatch(const std::vector<invalidb::Notification>& batch);
-
-  /// Data-path dispatch: the external pipeline when one is installed,
-  /// the in-process cluster otherwise. Every data-path use of invalidb_
+  /// Data-path dispatch: the remote stub when one is bound, the
+  /// in-process cluster otherwise. Every data-path use of invalidb_
   /// goes through these three; control-plane uses stay direct.
   Status PipelineRegisterQuery(const db::Query& query,
                                const std::vector<db::Document>& initial,
@@ -447,8 +434,7 @@ class QuaestorServer : public webcache::Origin {
   ttl::ActiveList active_list_;
   ttl::CapacityManager capacity_;
   std::unique_ptr<invalidb::InvalidbCluster> invalidb_;
-  ExternalPipeline external_pipeline_;
-  bool has_external_pipeline_ = false;
+  invalidb::InvalidbRemote* remote_invalidb_ = nullptr;
   std::unique_ptr<TransactionManager> transactions_;
   db::SchemaRegistry schemas_;
   AccessController auth_;

@@ -76,7 +76,7 @@ void ClusterStats::ExportTo(obs::MetricsRegistry* registry,
 }
 
 InvalidbCluster::InvalidbCluster(Clock* clock, InvalidbOptions options,
-                                 NotificationSink sink)
+                                 NotificationBatchSink sink)
     : clock_(clock), options_(options), sink_(std::move(sink)) {
   if (options_.query_partitions == 0) options_.query_partitions = 1;
   if (options_.object_partitions == 0) options_.object_partitions = 1;
@@ -300,27 +300,19 @@ void InvalidbCluster::Deliver(NotifyScratch& scratch) {
   std::vector<Notification>& deliverable = scratch.deliverable;
   if (deliverable.empty()) return;
   const Micros now = clock_->NowMicros();
-  bool coalesce;
   {
     std::lock_guard<std::mutex> lock(sink_mu_);
     for (const Notification& n : deliverable) {
       latency_.Record(MicrosToMillis(now - n.event_time));
       stats_.notifications_delivered++;
     }
-    coalesce = static_cast<bool>(batch_sink_);
-    if (coalesce) stats_.notifications_coalesced += deliverable.size() - 1;
+    stats_.notifications_coalesced += deliverable.size() - 1;
   }
-  // Fan out without holding sink_mu_: the sink may do real work (encode +
+  // Deliver without holding sink_mu_: the sink may do real work (encode +
   // reliable send). Per-record order is safe — a record always hashes to
   // one row, whose worker delivers sequentially; cross-record order for a
   // query was never specified.
-  if (coalesce) {
-    // Coalesced fan-out: one envelope per dispatch instead of one call
-    // per notification. Order within the batch is commit order.
-    batch_sink_(deliverable);
-  } else {
-    for (const Notification& n : deliverable) sink_(n);
-  }
+  sink_(deliverable);
   deliverable.clear();
 }
 
@@ -831,11 +823,6 @@ Histogram InvalidbCluster::LatencyHistogram() const {
 Histogram InvalidbCluster::EventsPerBatchHistogram() const {
   std::lock_guard<std::mutex> lock(sink_mu_);
   return events_per_batch_;
-}
-
-void InvalidbCluster::SetBatchSink(NotificationBatchSink sink) {
-  std::lock_guard<std::mutex> lock(sink_mu_);
-  batch_sink_ = std::move(sink);
 }
 
 std::vector<size_t> InvalidbCluster::QueriesPerNode() const {

@@ -88,8 +88,8 @@ struct ClusterStats {
   /// Candidates from the residual (non-indexable) query lists.
   uint64_t residual_candidates = 0;
   /// Write-path batching: ingest batches accepted by OnChangeBatch, the
-  /// events they carried, and notifications handed to the batch sink
-  /// beyond the first of each delivery (the per-call saving).
+  /// events they carried, and notifications delivered beyond the first of
+  /// each dispatch (the sink calls saved over per-notification delivery).
   uint64_t change_batches = 0;
   uint64_t batch_events = 0;
   uint64_t notifications_coalesced = 0;
@@ -111,10 +111,14 @@ struct ClusterStats {
 /// change stream, and emits invalidation notifications in real time.
 class InvalidbCluster {
  public:
-  /// `sink` receives every subscribed notification. In threaded mode it is
-  /// invoked from worker threads (calls are serialized by the cluster).
+  /// `sink` receives each dispatch's subscribed notifications in one call
+  /// (commit order, never empty). Calls are not serialized: threaded mode
+  /// calls it from every node's worker thread at once, synchronous mode
+  /// from each feeding thread, so the sink must be thread-safe. A
+  /// (query, record) pair always maps to one node, so its notifications
+  /// arrive in commit order.
   InvalidbCluster(Clock* clock, InvalidbOptions options,
-                  NotificationSink sink);
+                  NotificationBatchSink sink);
   ~InvalidbCluster();
 
   InvalidbCluster(const InvalidbCluster&) = delete;
@@ -147,14 +151,6 @@ class InvalidbCluster {
   /// (row, column) instead of per event. Per-node notification output is
   /// byte-identical to calling OnChange once per event.
   void OnChangeBatch(std::vector<db::ChangeEvent> events);
-
-  /// Batch delivery: when set, each dispatch hands every notification it
-  /// produced to this sink in one call instead of one sink_ call each
-  /// (latency/stats accounting is unchanged; notifications_coalesced
-  /// counts the saved calls). Install before traffic starts.
-  using NotificationBatchSink =
-      std::function<void(const std::vector<Notification>&)>;
-  void SetBatchSink(NotificationBatchSink sink);
 
   /// Events per ingested batch (OnChangeBatch calls only).
   Histogram EventsPerBatchHistogram() const;
@@ -327,7 +323,7 @@ class InvalidbCluster {
   void Dispatch(NotifyScratch& scratch, const db::Document& after_image);
   /// Batch form: consumes `scratch.batch_raw` using the per-event slice
   /// boundaries in `offsets` (each slice is translated against its own
-  /// after-image), then delivers everything under one sink lock.
+  /// after-image), then delivers everything in one sink call.
   void DispatchBatch(NotifyScratch& scratch,
                      const std::vector<db::ChangeEvent>& events,
                      const std::vector<size_t>& offsets);
@@ -335,7 +331,8 @@ class InvalidbCluster {
   /// (for stateful queries) the sorted layer into scratch.deliverable.
   void Translate(Notification& n, const db::Document& after_image,
                  NotifyScratch& scratch);
-  /// Delivers scratch.deliverable under one sink_mu_ acquisition.
+  /// Accounts scratch.deliverable under one sink_mu_ acquisition, then
+  /// hands it to the sink in one call.
   void Deliver(NotifyScratch& scratch);
   void WorkerLoop(Node* node);
 
@@ -343,7 +340,7 @@ class InvalidbCluster {
   /// Grid shape; query_partitions/object_partitions mutate only under an
   /// exclusive topology_mu_ (Resize cutover).
   InvalidbOptions options_;
-  NotificationSink sink_;
+  NotificationBatchSink sink_;
   obs::Tracer* tracer_ = nullptr;
   /// Protects nodes_ and the partition counts in options_ against a
   /// concurrent Resize(). Every public operation that routes to or reads
@@ -372,7 +369,6 @@ class InvalidbCluster {
   Histogram migration_pause_;  // guarded by sink_mu_ (ms per Resize)
   Histogram events_per_batch_;  // guarded by sink_mu_ (OnChangeBatch)
   ClusterStats stats_;  // guarded by sink_mu_
-  NotificationBatchSink batch_sink_;  // guarded by sink_mu_
 
   std::atomic<int64_t> in_flight_{0};
   std::mutex flush_mu_;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "db/document.h"
@@ -63,7 +64,14 @@ struct Notification {
   int64_t new_index = -1;
 };
 
+/// Per-notification callback (server-side observability taps).
 using NotificationSink = std::function<void(const Notification&)>;
+
+/// The delivery contract of InvalidbCluster and InvalidbRemote: one call
+/// per dispatch, carrying every notification that dispatch produced in
+/// commit order (never empty).
+using NotificationBatchSink =
+    std::function<void(const std::vector<Notification>&)>;
 
 }  // namespace quaestor::invalidb
 

@@ -486,7 +486,7 @@ constexpr Micros kIdlePollMicros = 10 * kMicrosPerMilli;
 // ---------------------------------------------------------------------------
 
 InvalidbRemote::InvalidbRemote(Clock* clock, kv::KvStore* kv,
-                               std::string prefix, NotificationSink sink,
+                               std::string prefix, NotificationBatchSink sink,
                                TransportOptions options)
     : requests_queue_(prefix + ":requests"),
       notifications_queue_(prefix + ":notifications"),
@@ -538,8 +538,9 @@ size_t InvalidbRemote::HandleWire(const std::string& payload) {
     decode_errors_++;
     return 0;
   }
-  for (const Notification& n : batch.value()) sink_(n);
-  return batch.value().size();
+  if (batch->empty()) return 0;
+  sink_(batch.value());
+  return batch->size();
 }
 
 void InvalidbRemote::Tick() {
@@ -611,13 +612,10 @@ InvalidbWorker::InvalidbWorker(Clock* clock, kv::KvStore* kv,
   // Each dispatch's notifications are staged in one call; they ship as
   // one notify_batch envelope per pump cycle (or per max_batch overflow).
   cluster_ = std::make_unique<InvalidbCluster>(
-      clock, options, [this](const Notification& n) {
-        notifications_.Stage(&n, 1, transport::AppendNotificationSpec);
+      clock, options, [this](const std::vector<Notification>& batch) {
+        notifications_.Stage(batch.data(), batch.size(),
+                             transport::AppendNotificationSpec);
       });
-  cluster_->SetBatchSink([this](const std::vector<Notification>& batch) {
-    notifications_.Stage(batch.data(), batch.size(),
-                         transport::AppendNotificationSpec);
-  });
 }
 
 InvalidbWorker::~InvalidbWorker() {

@@ -208,11 +208,12 @@ class StagedEnvelope {
 
 /// The Quaestor-side stub: mirrors InvalidbCluster's interface but ships
 /// every call through the KV queues; a background (or manually pumped)
-/// poller delivers notifications to the sink.
+/// poller hands each decoded notify_batch envelope to the sink whole, so
+/// a worker-side dispatch reaches the sink as one call here too.
 class InvalidbRemote {
  public:
   InvalidbRemote(Clock* clock, kv::KvStore* kv, std::string prefix,
-                 NotificationSink sink,
+                 NotificationBatchSink sink,
                  TransportOptions options = TransportOptions());
   ~InvalidbRemote();
 
@@ -276,7 +277,7 @@ class InvalidbRemote {
 
   std::string requests_queue_;
   std::string notifications_queue_;
-  NotificationSink sink_;
+  NotificationBatchSink sink_;
   ReliableSender req_sender_;
   ReliableReceiver notif_receiver_;
   StagedEnvelope changes_;
@@ -326,7 +327,7 @@ class InvalidbWorker {
   std::string notifications_queue_;
   ReliableReceiver req_receiver_;
   ReliableSender notif_sender_;
-  /// Fed by the cluster's batch sink (from node threads when threaded);
+  /// Fed by the cluster's sink (from node threads when threaded);
   /// flushed at the end of every pump cycle.
   StagedEnvelope notifications_;
   std::unique_ptr<InvalidbCluster> cluster_;

@@ -50,25 +50,11 @@ bool NetServer::Start() {
 
     remote_ = std::make_unique<invalidb::InvalidbRemote>(
         clock_, bridged_kv_.get(), p,
-        [this](const invalidb::Notification& n) {
-          server_->OnExternalNotifications({n});
+        [this](const std::vector<invalidb::Notification>& batch) {
+          server_->OnNotificationBatch(batch);
         },
         options_.transport);
-    invalidb::InvalidbRemote* remote = remote_.get();
-    core::QuaestorServer::ExternalPipeline pipeline;
-    pipeline.register_query = [remote](const db::Query& query,
-                                       const std::vector<db::Document>& init,
-                                       invalidb::EventMask events) {
-      remote->RegisterQuery(query, init, events);
-      return Status::OK();
-    };
-    pipeline.deregister_query = [remote](const std::string& key) {
-      remote->DeregisterQuery(key);
-    };
-    pipeline.on_change = [remote](const db::ChangeEvent& ev) {
-      remote->OnChange(ev);
-    };
-    server_->SetExternalPipeline(std::move(pipeline));
+    server_->UseRemoteInvalidb(remote_.get());
   }
 
   // Invalidation fan-out to socket peers (remote CDN nodes subscribe to

@@ -36,8 +36,8 @@ struct NetOptions {
 };
 
 /// Serving-side bundle: event loop + HTTP front-end + frame hub, and —
-/// when remote_invalidb is on — the InvalidbRemote stub wired into the
-/// server's ExternalPipeline with its queues bridged over the hub.
+/// when remote_invalidb is on — the InvalidbRemote stub bound as the
+/// server's InvaliDB data path with its queues bridged over the hub.
 class NetServer {
  public:
   NetServer(Clock* clock, core::QuaestorServer* server, NetOptions options);

@@ -50,7 +50,9 @@ TEST(FailureTest, ThreadedClusterWithTinyQueuesBackpressures) {
   std::atomic<int> delivered{0};
   invalidb::InvalidbCluster cluster(
       SystemClock::Default(), opts,
-      [&](const invalidb::Notification&) { delivered++; });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        delivered += static_cast<int>(batch.size());
+      });
   db::Query q = Q("t", R"({"n":{"$gte":0}})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
   cluster.Flush();
@@ -73,7 +75,9 @@ TEST(FailureTest, DeregisterWhileEventsInFlight) {
   std::atomic<int> delivered{0};
   invalidb::InvalidbCluster cluster(
       SystemClock::Default(), opts,
-      [&](const invalidb::Notification&) { delivered++; });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        delivered += static_cast<int>(batch.size());
+      });
   db::Query q = Q("t", R"({"n":{"$gte":0}})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
   std::thread producer([&] {
@@ -100,7 +104,9 @@ TEST(FailureTest, ConcurrentRegistrationsAndChanges) {
   std::atomic<int> delivered{0};
   invalidb::InvalidbCluster cluster(
       SystemClock::Default(), opts,
-      [&](const invalidb::Notification&) { delivered++; });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        delivered += static_cast<int>(batch.size());
+      });
   std::thread registrar([&] {
     for (int i = 0; i < 50; ++i) {
       db::Query q = Q("t", ("{\"g\":" + std::to_string(i) + "}").c_str());
@@ -392,8 +398,10 @@ std::vector<std::string> RunTransportScript(SimulatedClock* clock,
   std::vector<std::string> sequence;
   invalidb::InvalidbRemote remote(
       clock, kv, "chaos",
-      [&](const invalidb::Notification& n) {
-        sequence.push_back(NotificationSignature(n));
+      [&](const std::vector<invalidb::Notification>& batch) {
+        for (const invalidb::Notification& n : batch) {
+          sequence.push_back(NotificationSignature(n));
+        }
       },
       topts);
   invalidb::InvalidbWorker worker(clock, kv, "chaos",
@@ -474,10 +482,11 @@ TEST(ChaosTest, SameSeedSameSchedule) {
 TEST(ChaosTest, PollerCrashAndRestartLosesNothing) {
   kv::KvStore kv(SystemClock::Default());
   std::atomic<int> count{0};
-  invalidb::InvalidbRemote remote(SystemClock::Default(), &kv, "pc",
-                                  [&](const invalidb::Notification&) {
-                                    count++;
-                                  });
+  invalidb::InvalidbRemote remote(
+      SystemClock::Default(), &kv, "pc",
+      [&](const std::vector<invalidb::Notification>& batch) {
+        count += static_cast<int>(batch.size());
+      });
   invalidb::InvalidbWorker worker(SystemClock::Default(), &kv, "pc");
 
   db::Query q = Q("posts", R"({"g":{"$gte":1}})");
@@ -509,7 +518,9 @@ TEST(ChaosTest, NodeKillRestartRebuildsMatchingState) {
   std::vector<invalidb::Notification> received;
   invalidb::InvalidbCluster cluster(
       &clock, invalidb::InvalidbOptions(),
-      [&](const invalidb::Notification& n) { received.push_back(n); });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        received.insert(received.end(), batch.begin(), batch.end());
+      });
   db::Query q = Q("posts", R"({"g":{"$gte":1}})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
 

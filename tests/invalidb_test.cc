@@ -276,9 +276,10 @@ class ClusterTest : public ::testing::Test {
   void MakeCluster(InvalidbOptions options) {
     options.threaded = false;
     cluster_ = std::make_unique<InvalidbCluster>(
-        &clock_, options, [this](const Notification& n) {
+        &clock_, options, [this](const std::vector<Notification>& batch) {
           std::lock_guard<std::mutex> lock(mu_);
-          notifications_.push_back(n);
+          notifications_.insert(notifications_.end(), batch.begin(),
+                                batch.end());
         });
   }
 
@@ -483,8 +484,10 @@ TEST(ClusterThreadedTest, DeliversAllNotifications) {
   opts.object_partitions = 2;
   opts.threaded = true;
   std::atomic<int> count{0};
-  InvalidbCluster cluster(clock, opts,
-                          [&](const Notification&) { count++; });
+  InvalidbCluster cluster(
+      clock, opts, [&](const std::vector<Notification>& batch) {
+        count += static_cast<int>(batch.size());
+      });
   db::Query q = Q("posts", R"({"g":{"$gte":0}})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll).ok());
   cluster.Flush();
@@ -506,7 +509,9 @@ TEST(ClusterThreadedTest, ShutdownWithPendingWorkIsClean) {
   opts.threaded = true;
   std::atomic<int> count{0};
   auto cluster = std::make_unique<InvalidbCluster>(
-      clock, opts, [&](const Notification&) { count++; });
+      clock, opts, [&](const std::vector<Notification>& batch) {
+        count += static_cast<int>(batch.size());
+      });
   db::Query q = Q("posts", R"({"g":1})");
   ASSERT_TRUE(cluster->RegisterQuery(q, {}, kEventsAll).ok());
   for (int i = 0; i < 100; ++i) {
@@ -535,8 +540,10 @@ TEST(ClusterRoutingTest, ObjectPartitionRowsShareQueryState) {
   opts.query_partitions = 1;
   opts.object_partitions = 4;
   std::vector<Notification> ns;
-  InvalidbCluster cluster(&clock, opts,
-                          [&](const Notification& n) { ns.push_back(n); });
+  InvalidbCluster cluster(
+      &clock, opts, [&](const std::vector<Notification>& batch) {
+        ns.insert(ns.end(), batch.begin(), batch.end());
+      });
   db::Query q = db::Query::ParseJson("t", R"({"g":1})").value();
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll).ok());
 
@@ -578,8 +585,10 @@ TEST(ClusterRoutingTest, ReplayBufferIsBounded) {
   InvalidbOptions opts;
   opts.replay_buffer_size = 4;
   std::vector<Notification> ns;
-  InvalidbCluster cluster(&clock, opts,
-                          [&](const Notification& n) { ns.push_back(n); });
+  InvalidbCluster cluster(
+      &clock, opts, [&](const std::vector<Notification>& batch) {
+        ns.insert(ns.end(), batch.begin(), batch.end());
+      });
   // 10 events before any query exists; only the last 4 are replayable.
   for (int i = 0; i < 10; ++i) {
     db::ChangeEvent ev;
@@ -601,8 +610,10 @@ TEST(ClusterRoutingTest, ReplaySkipsEventsBeforeEvaluation) {
   SimulatedClock clock(1000);
   InvalidbOptions opts;
   std::vector<Notification> ns;
-  InvalidbCluster cluster(&clock, opts,
-                          [&](const Notification& n) { ns.push_back(n); });
+  InvalidbCluster cluster(
+      &clock, opts, [&](const std::vector<Notification>& batch) {
+        ns.insert(ns.end(), batch.begin(), batch.end());
+      });
   db::ChangeEvent before;
   before.kind = db::WriteKind::kUpdate;
   before.after.table = "t";
@@ -631,8 +642,10 @@ TEST(ClusterResizeTest, HandoffCarriesMembershipToNewShape) {
   SimulatedClock clock(0);
   InvalidbOptions opts;  // 1x1
   std::vector<Notification> ns;
-  InvalidbCluster cluster(&clock, opts,
-                          [&](const Notification& n) { ns.push_back(n); });
+  InvalidbCluster cluster(
+      &clock, opts, [&](const std::vector<Notification>& batch) {
+        ns.insert(ns.end(), batch.begin(), batch.end());
+      });
   db::Query q = Q("t", R"({"g":1})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll).ok());
   cluster.OnChange(Change("t", "a", R"({"g":1})", 10));
@@ -657,7 +670,8 @@ TEST(ClusterResizeTest, ZeroPartitionsClampToOne) {
   InvalidbOptions opts;
   opts.query_partitions = 2;
   opts.object_partitions = 2;
-  InvalidbCluster cluster(&clock, opts, [](const Notification&) {});
+  InvalidbCluster cluster(&clock, opts,
+                          [](const std::vector<Notification>&) {});
   EXPECT_EQ(cluster.Resize(0, 0), 0u);
   EXPECT_EQ(cluster.NumNodes(), 1u);
 }
@@ -668,8 +682,10 @@ TEST(ClusterResizeTest, DrainedEventsNeverReplayEvenIfClockLags) {
   SimulatedClock clock(0);
   InvalidbOptions opts;
   std::vector<Notification> ns;
-  InvalidbCluster cluster(&clock, opts,
-                          [&](const Notification& n) { ns.push_back(n); });
+  InvalidbCluster cluster(
+      &clock, opts, [&](const std::vector<Notification>& batch) {
+        ns.insert(ns.end(), batch.begin(), batch.end());
+      });
   db::Query q = Q("t", R"({"g":1})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, kEventsAll).ok());
   cluster.OnChange(Change("t", "a", R"({"g":1})", /*at=*/1000000));
@@ -681,7 +697,8 @@ TEST(ClusterResizeTest, DrainedEventsNeverReplayEvenIfClockLags) {
 TEST(ClusterResizeTest, MigrationPauseIsRecorded) {
   SimulatedClock clock(0);
   InvalidbOptions opts;
-  InvalidbCluster cluster(&clock, opts, [](const Notification&) {});
+  InvalidbCluster cluster(&clock, opts,
+                          [](const std::vector<Notification>&) {});
   EXPECT_EQ(cluster.MigrationPauseHistogram().count(), 0u);
   cluster.Resize(2, 1);
   cluster.Resize(1, 2);

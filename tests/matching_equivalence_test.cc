@@ -248,9 +248,10 @@ TEST(MatchingEquivalenceTest, ClusterResizeMidUpdatesMatchesBruteForce) {
   InvalidbOptions opts;
   opts.query_partitions = 2;
   opts.object_partitions = 2;
-  InvalidbCluster cluster(&clock, opts, [&](const Notification& n) {
-    got.push_back(n);
-  });
+  InvalidbCluster cluster(
+      &clock, opts, [&](const std::vector<Notification>& batch) {
+        got.insert(got.end(), batch.begin(), batch.end());
+      });
   MatchingNode brute(/*use_index=*/false);
 
   // Stateless queries only: the sorted layer is covered by
@@ -526,9 +527,10 @@ std::vector<std::string> RunBatchedCluster(const BatchWorkload& w,
   opts.query_partitions = 2;
   opts.object_partitions = 2;
   opts.batched_matching = batch > 1;
-  InvalidbCluster cluster(&clock, opts, [&](const Notification& n) {
-    sigs.push_back(Sig(n));
-  });
+  InvalidbCluster cluster(
+      &clock, opts, [&](const std::vector<Notification>& dispatch) {
+        for (const Notification& n : dispatch) sigs.push_back(Sig(n));
+      });
   for (size_t i = 0; i < w.queries.size(); ++i) {
     EXPECT_TRUE(
         cluster.RegisterQuery(w.queries[i], w.initial[i], kEventsAll).ok());
@@ -622,10 +624,13 @@ TEST(MatchingEquivalenceTest, BatchedSortedLayerSingleRowByteIdentical) {
     opts.query_partitions = 2;
     opts.object_partitions = 1;  // one row: batches keep global order
     opts.batched_matching = batch > 1;
-    InvalidbCluster cluster(&clock, opts, [&](const Notification& n) {
-      sigs.push_back(Sig(n));
-      if (n.type == NotificationType::kChangeIndex) ++index_moves;
-    });
+    InvalidbCluster cluster(
+        &clock, opts, [&](const std::vector<Notification>& dispatch) {
+          for (const Notification& n : dispatch) {
+            sigs.push_back(Sig(n));
+            if (n.type == NotificationType::kChangeIndex) ++index_moves;
+          }
+        });
     EXPECT_TRUE(
         cluster.RegisterQuery(w.queries[0], w.initial[0], kEventsAll).ok());
     for (size_t i = 0; i < w.stream.size(); i += batch) {
@@ -652,8 +657,8 @@ TEST(MatchingEquivalenceTest, BatchedSortedLayerSingleRowByteIdentical) {
 // ---------------------------------------------------------------------------
 
 /// Ships the workload through a remote/worker pair over `kv` with
-/// batching at `batch` (1 = batching off), pumping until the pipeline
-/// drains. Returns the sorted notification multiset as seen by the
+/// envelopes of up to `batch` events (1 = a batch of one per envelope,
+/// with batched matching off), pumping until the pipeline drains. Returns the sorted notification multiset as seen by the
 /// remote's sink — i.e. after batch encode, the reliable layer, the
 /// faulty channel, and batch decode.
 std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
@@ -671,7 +676,10 @@ std::vector<std::string> RunBatchedTransport(const BatchWorkload& w,
   copts.batched_matching = batch > 1;
   InvalidbRemote remote(
       clock, kv, "bt",
-      [&](const Notification& n) { sigs.push_back(Sig(n)); }, topts);
+      [&](const std::vector<Notification>& dispatch) {
+        for (const Notification& n : dispatch) sigs.push_back(Sig(n));
+      },
+      topts);
   InvalidbWorker worker(clock, kv, "bt", copts, topts);
 
   for (size_t i = 0; i < w.queries.size(); ++i) {
@@ -717,7 +725,8 @@ TEST(MatchingEquivalenceTest, BatchedTransportByteIdenticalAcross20Seeds) {
     const BatchWorkload w = MakeBatchWorkload(seed, /*num_queries=*/30,
                                               /*num_records=*/16, kEvents);
 
-    // Reference: batching off, perfect channel.
+    // Reference: one event per envelope, batched matching off, perfect
+    // channel.
     SimulatedClock ref_clock(0);
     kv::KvStore ref_kv(&ref_clock);
     const std::vector<std::string> expected =

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -106,6 +107,8 @@ class LoopbackStack : public ::testing::Test {
         &purge_loop_, net_->frame_port(), 5 * kMicrosPerMilli);
     purge_client_->Subscribe("purge", [this](const Frame& f) {
       cdn_->Purge(f.payload);
+      std::lock_guard<std::mutex> lock(purge_mu_);
+      purge_frames_.push_back(f.payload);
     });
     purge_client_->Connect();
 
@@ -136,6 +139,12 @@ class LoopbackStack : public ::testing::Test {
 
   uint64_t Requests() const { return net_->http()->requests_served(); }
 
+  /// Purge frames for `key` the CDN node has received so far.
+  int64_t PurgeFrames(const std::string& key) {
+    std::lock_guard<std::mutex> lock(purge_mu_);
+    return std::count(purge_frames_.begin(), purge_frames_.end(), key);
+  }
+
   void TearDown() override {
     if (purge_client_) purge_client_->Close();
     purge_loop_.Stop();
@@ -162,6 +171,8 @@ class LoopbackStack : public ::testing::Test {
   std::unique_ptr<webcache::InvalidationCache> cdn_;
   EventLoop purge_loop_;
   std::unique_ptr<FrameClient> purge_client_;
+  std::mutex purge_mu_;
+  std::vector<std::string> purge_frames_;
 };
 
 TEST_F(LoopbackStack, RecordWritesReadsAndInvalidationAcrossTheWire) {
@@ -266,6 +277,67 @@ TEST_F(LoopbackStack, QueryNotificationFlowsInvalidbOverTcp) {
   EXPECT_GT(worker_->bridged_kv()->deliveries(), 0u);
   EXPECT_GT(net_->bridged_kv()->deliveries(), 0u);
   ExpectNoViolations();
+}
+
+// Socket-path twin of
+// ServerTest.WindowShiftNotifiesEachButFlagsAndPurgesKeyOnce: one update
+// shifts a sorted top-2 window (one remove, one add for the same query
+// key). The worker ships both in one envelope, and the origin must
+// treat it as one dispatch: both notifications reach the taps, but the
+// key is EBF-flagged and purged over the wire once.
+TEST_F(LoopbackStack, WindowShiftOverTcpFlagsAndPurgesKeyOnce) {
+  Start();
+  for (int i = 0; i < 5; ++i) {
+    const std::string doc = "{\"n\":" + std::to_string(i) + "}";
+    ASSERT_TRUE(
+        server_->Insert("t", std::to_string(i), Doc(doc.c_str())).ok());
+  }
+  db::Query q = Q("t", "{}");
+  q.SetOrderBy({{"n", false}}).SetLimit(2);
+  const std::string key = q.NormalizedKey();
+  std::unique_ptr<HttpBackend> backend;
+  auto c = Session(nullptr, &backend);
+  client::QueryResult window = c->ExecuteQuery(q);
+  ASSERT_TRUE(window.status.ok()) << window.status.ToString();
+  ASSERT_EQ(window.ids, (std::vector<std::string>{"t/4", "t/3"}));
+
+  std::mutex taps_mu;
+  std::vector<invalidb::Notification> taps;
+  server_->AddNotificationTap([&](const invalidb::Notification& n) {
+    std::lock_guard<std::mutex> lock(taps_mu);
+    taps.push_back(n);
+  });
+  const uint64_t flags =
+      server_->ebf().AggregateStats().invalidations_reported;
+
+  // t/0 jumps to the top: t/0 enters the window, t/3 drops out of it.
+  db::Update u;
+  u.Set("n", db::Value(99));
+  ASSERT_TRUE(server_->Update("t", "0", u).ok());
+  // Taps run after the flag/purge pass, so once both are in, every flag
+  // and purge send for this write has happened.
+  ASSERT_TRUE(WaitFor([&] {
+    std::lock_guard<std::mutex> lock(taps_mu);
+    return taps.size() >= 2;
+  }));
+  {
+    std::lock_guard<std::mutex> lock(taps_mu);
+    ASSERT_EQ(taps.size(), 2u);
+    EXPECT_EQ(taps[0].type, invalidb::NotificationType::kRemove);
+    EXPECT_EQ(taps[0].record_id, "3");
+    EXPECT_EQ(taps[1].type, invalidb::NotificationType::kAdd);
+    EXPECT_EQ(taps[1].record_id, "0");
+    for (const invalidb::Notification& n : taps) EXPECT_EQ(n.query_key, key);
+  }
+  // One flag for the written record, one for the query key.
+  EXPECT_EQ(server_->ebf().AggregateStats().invalidations_reported - flags,
+            2u);
+
+  // Purge frames share one ordered connection: once a later write's
+  // purge arrives, every purge of the query key has arrived too.
+  ASSERT_TRUE(server_->Insert("u", "sentinel", Doc(R"({"x":1})")).ok());
+  ASSERT_TRUE(WaitFor([&] { return PurgeFrames("u/sentinel") == 1; }));
+  EXPECT_EQ(PurgeFrames(key), 1);
 }
 
 TEST_F(LoopbackStack, ConditionalFetchRevalidatesWith304OverTheWire) {

@@ -110,7 +110,9 @@ std::vector<std::string> RunResizingCluster(
   std::vector<std::string> sigs;
   invalidb::InvalidbCluster cluster(
       clock, opts,
-      [&](const invalidb::Notification& n) { sigs.push_back(Sig(n)); });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        for (const invalidb::Notification& n : batch) sigs.push_back(Sig(n));
+      });
   for (const db::Query& q : TestQueries()) {
     EXPECT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
   }
@@ -180,7 +182,9 @@ std::vector<std::string> RunTransportResizeScript(
   std::vector<std::string> sigs;
   invalidb::InvalidbRemote remote(
       clock, kv, "rz",
-      [&](const invalidb::Notification& n) { sigs.push_back(Sig(n)); },
+      [&](const std::vector<invalidb::Notification>& batch) {
+        for (const invalidb::Notification& n : batch) sigs.push_back(Sig(n));
+      },
       topts);
   invalidb::InvalidbWorker worker(clock, kv, "rz", worker_opts, topts);
 
@@ -278,7 +282,9 @@ TEST(RebalanceTest, EvaluatorResizeRecoversStateLostToDeadNodes) {
   opts.object_partitions = 2;
   invalidb::InvalidbCluster cluster(
       &clock, opts,
-      [&](const invalidb::Notification& n) { received.push_back(n); });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        received.insert(received.end(), batch.begin(), batch.end());
+      });
   db::Query q = Q("posts", R"({"g":{"$gte":1}})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
 
@@ -449,7 +455,9 @@ TEST(RebalanceTest, ThreadedResizeUnderLoadLosesAndDuplicatesNothing) {
   std::atomic<uint64_t> delivered{0};
   invalidb::InvalidbCluster cluster(
       SystemClock::Default(), opts,
-      [&](const invalidb::Notification&) { delivered++; });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        delivered += batch.size();
+      });
   db::Query q = Q("t", R"({"n":{"$gte":0}})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
   cluster.Flush();
@@ -517,7 +525,9 @@ TEST(RebalanceTest, SameShapeResizeRebuildsInPlace) {
   opts.object_partitions = 2;
   invalidb::InvalidbCluster cluster(
       &clock, opts,
-      [&](const invalidb::Notification& n) { received.push_back(n); });
+      [&](const std::vector<invalidb::Notification>& batch) {
+        received.insert(received.end(), batch.begin(), batch.end());
+      });
   db::Query q = Q("posts", R"({"g":1})");
   ASSERT_TRUE(cluster.RegisterQuery(q, {}, invalidb::kEventsAll).ok());
   clock.Advance(kMicrosPerMilli);

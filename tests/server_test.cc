@@ -430,22 +430,11 @@ TEST(ServerPipelineTest, LoneWriteIsFlaggedAndPurgedWithoutFurtherWrites) {
                                   invalidb::InvalidbOptions(), topts);
   invalidb::InvalidbRemote remote(
       clock, &kv, "lone",
-      [&](const invalidb::Notification& n) {
-        server.OnExternalNotifications({n});
+      [&](const std::vector<invalidb::Notification>& batch) {
+        server.OnNotificationBatch(batch);
       },
       topts);
-  QuaestorServer::ExternalPipeline pipeline;
-  pipeline.register_query = [&](const db::Query& query,
-                                const std::vector<db::Document>& initial,
-                                invalidb::EventMask events) {
-    remote.RegisterQuery(query, initial, events);
-    return Status::OK();
-  };
-  pipeline.deregister_query = [&](const std::string& key) {
-    remote.DeregisterQuery(key);
-  };
-  pipeline.on_change = [&](const db::ChangeEvent& ev) { remote.OnChange(ev); };
-  server.SetExternalPipeline(std::move(pipeline));
+  server.UseRemoteInvalidb(&remote);
   worker.Start();
   remote.StartPolling();
 

@@ -197,7 +197,10 @@ TEST(TransportFuzzTest, WorkerDropsTornBatchesWhole) {
   std::vector<Notification> received;
   InvalidbWorker worker(&clock, &kv, "tb");
   InvalidbRemote remote(&clock, &kv, "tb",
-                        [&](const Notification& n) { received.push_back(n); });
+                        [&](const std::vector<Notification>& batch) {
+                          received.insert(received.end(), batch.begin(),
+                                          batch.end());
+                        });
   db::Query q = Q("posts", R"({"g":1})");
   kv.QueuePush("tb:requests", transport::EncodeRegister(q, {}, kEventsAll, 0));
 
@@ -246,7 +249,10 @@ TEST(TransportFuzzTest, LegacyPerEventChangeIsADecodeErrorNeverMatched) {
   std::vector<Notification> received;
   InvalidbWorker worker(&clock, &kv, "lg");
   InvalidbRemote remote(&clock, &kv, "lg",
-                        [&](const Notification& n) { received.push_back(n); });
+                        [&](const std::vector<Notification>& batch) {
+                          received.insert(received.end(), batch.begin(),
+                                          batch.end());
+                        });
   db::Query q = Q("posts", R"({"g":1})");
   kv.QueuePush("lg:requests", transport::EncodeRegister(q, {}, kEventsAll, 0));
   kv.QueuePush("lg:requests",
@@ -280,7 +286,10 @@ TEST(TransportFuzzTest, RemoteSurvivesGarbageOnItsNotificationQueue) {
   kv::KvStore kv(&clock);
   std::vector<Notification> received;
   InvalidbRemote remote(&clock, &kv, "fz",
-                        [&](const Notification& n) { received.push_back(n); });
+                        [&](const std::vector<Notification>& batch) {
+                          received.insert(received.end(), batch.begin(),
+                                          batch.end());
+                        });
 
   Rng rng(0xdead);
   for (int i = 0; i < 300; ++i) {

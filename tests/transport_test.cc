@@ -316,7 +316,10 @@ class TransportTest : public ::testing::Test {
       : clock_(0),
         kv_(&clock_),
         remote_(&clock_, &kv_, "invalidb",
-                [this](const Notification& n) { received_.push_back(n); }),
+                [this](const std::vector<Notification>& batch) {
+                  received_.insert(received_.end(), batch.begin(),
+                                   batch.end());
+                }),
         worker_(&clock_, &kv_, "invalidb") {}
 
   SimulatedClock clock_;
@@ -420,7 +423,9 @@ TEST_F(TransportTest, MalformedMessagesCountedAndSkipped) {
 TEST_F(TransportTest, BackgroundThreadsDeliver) {
   std::atomic<int> count{0};
   InvalidbRemote remote(SystemClock::Default(), &kv_, "bg",
-                        [&](const Notification&) { count++; });
+                        [&](const std::vector<Notification>& batch) {
+                          count += static_cast<int>(batch.size());
+                        });
   InvalidbWorker worker(SystemClock::Default(), &kv_, "bg");
   worker.Start();
   remote.StartPolling();
@@ -466,7 +471,10 @@ class BatchedTransportTest : public ::testing::Test {
       : clock_(0),
         kv_(&clock_),
         remote_(&clock_, &kv_, "bt",
-                [this](const Notification& n) { received_.push_back(n); },
+                [this](const std::vector<Notification>& batch) {
+                  received_.insert(received_.end(), batch.begin(),
+                                   batch.end());
+                },
                 Topts()),
         worker_(&clock_, &kv_, "bt", Copts(), Topts()) {}
 
